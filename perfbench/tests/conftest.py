@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent
+ROOT = PERFBENCH.parent
+sys.path[:0] = [str(PERFBENCH), str(ROOT / "src")]
