@@ -39,7 +39,12 @@ epochs = 5
 classifier_epochs = 1
 EOF
 
-run() { echo "+ sevcon $*"; sevcon --run-dir "$RUN_DIR" "$@"; }
+# Run this checkout's own code, installed or not.
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+run() {
+  echo "+ sevcon $*"
+  PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -m sevcon.cli --run-dir "$RUN_DIR" "$@"
+}
 
 run --config "$CONFIG" gen-data
 run train-gradcon

@@ -10,7 +10,12 @@ set -euo pipefail
 RUN_DIR="${1:?usage: run_experiment.sh RUN_DIR [CONFIG.ini]}"
 CONFIG="${2:-}"
 
-run() { echo "+ sevcon $*"; sevcon --run-dir "$RUN_DIR" "$@"; }
+# Run this checkout's own code, installed or not.
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+run() {
+  echo "+ sevcon $*"
+  PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -m sevcon.cli --run-dir "$RUN_DIR" "$@"
+}
 
 if [[ -n "$CONFIG" ]]; then
   run --config "$CONFIG" gen-data

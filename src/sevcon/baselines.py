@@ -14,16 +14,10 @@ import numpy as np
 from .contrastive import AugmentationPolicy, SupConConfig, pretrain
 from .evalprobe import ProbeConfig, evaluate, train_probe
 from .labeling import assign_severity_labels
-from .models import (
-    Backbone,
-    Network,
-    build_backbone,
-    build_classifier_head,
-    build_projection_head,
-)
+from .models import build_backbone, build_classifier_head, build_projection_head
 from .numerics import (
     Array,
-    Dense,
+    Network,
     NumericalError,
     SgdState,
     as_f64,
@@ -46,7 +40,7 @@ class ClassifierConfig:
 
 @dataclass
 class SupervisedClassifier:
-    backbone: Backbone
+    backbone: Network
     multilabel_head: Network      # per-label sigmoid BCE head
     combo_head: Network           # softmax over observed label combinations
     combo_classes: Array          # (K, 5) multi-hot rows defining the classes
@@ -60,39 +54,35 @@ class GaussianClassStats:
     epsilon: float
 
 
-def train_supervised_classifier(images: Array, multihot: Array,
+def train_supervised_classifier(images: Array, multihot: Array, embedding_dim: int,
                                 config: ClassifierConfig) -> SupervisedClassifier:
     """Backbone + multi-label head trained jointly with per-label BCE, then a
     frozen-feature auxiliary softmax head over the observed label combos."""
     images = as_f64(images)
     y = as_f64(multihot)
     n, n_labels = y.shape
-    backbone = build_backbone(images.shape[-1], 64, config.seed)
-    rng = np.random.default_rng(config.seed + 1)
-    head = Network([Dense(backbone.embedding_dim, n_labels, rng)])
+    backbone = build_backbone(images.shape[-1], embedding_dim, config.seed)
+    head = build_classifier_head(embedding_dim, n_labels, config.seed + 1)
+    net = Network(backbone.layers + head.layers)
 
     opt = SgdState(config.learning_rate, config.momentum)
-    params = {**{f"b.{k}": v for k, v in backbone.net.named_params()},
-              **{f"h.{k}": v for k, v in head.named_params()}}
+    params = net.param_dict()
     shuffle = np.random.default_rng(config.seed + 2)
     for _ in range(config.epochs):
         order = shuffle.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            feats = backbone.net.forward(images[idx])
-            logits = head.forward(feats)
+            logits = net.forward(images[idx])
             loss, dlogits = bce_with_logits(logits, y[idx])
             if not np.isfinite(loss):
                 raise NumericalError("non-finite classifier loss")
-            backbone.net.backward(head.backward(dlogits))
-            grads = {**{f"b.{k}": v for k, v in backbone.net.grad_dict().items()},
-                     **{f"h.{k}": v for k, v in head.grad_dict().items()}}
-            sgd_step(opt, params, grads)
+            net.backward(dlogits)
+            sgd_step(opt, params, net.grad_dict())
 
     combo_classes, combo_idx = np.unique(y.astype(np.int64), axis=0, return_inverse=True)
-    combo_head = Network([Dense(backbone.embedding_dim, combo_classes.shape[0],
-                                np.random.default_rng(config.seed + 3))])
-    feats = backbone.net.forward(images)
+    combo_head = build_classifier_head(embedding_dim, combo_classes.shape[0],
+                                       config.seed + 3)
+    feats = backbone.forward(images)
     c_params = combo_head.param_dict()
     c_opt = SgdState(config.learning_rate, config.momentum)
     c_shuffle = np.random.default_rng(config.seed + 4)
@@ -110,7 +100,7 @@ def train_supervised_classifier(images: Array, multihot: Array,
 def classifier_logits(clf: SupervisedClassifier, x: Array) -> Array:
     """Combo-class softmax logits for one image."""
     batch = x[None] if x.ndim == 3 else x
-    return clf.combo_head.forward(clf.backbone.net.forward(batch))[0]
+    return clf.combo_head.forward(clf.backbone.forward(batch))[0]
 
 
 def msp_from_logits(logits: Array) -> float:
@@ -135,14 +125,13 @@ def odin_score(clf: SupervisedClassifier, x: Array, T: float = 1000.0,
     if eps < 0:
         raise ValueError("eps must be non-negative")
     batch = as_f64(x)[None] if x.ndim == 3 else as_f64(x)
-    feats = clf.backbone.net.forward(batch)
-    logits = clf.combo_head.forward(feats)
+    logits = clf.combo_head.forward(clf.backbone.forward(batch))
     pred = np.array([int(np.argmax(logits[0]))])
     _, dlogits = softmax_ce_with_logits(logits / T, pred)
-    dx = clf.backbone.net.backward(clf.combo_head.backward(dlogits / T))
+    dx = clf.backbone.backward(clf.combo_head.backward(dlogits / T))
     require_finite(dx, "odin input gradient")
     x_pert = batch - eps * np.sign(dx)
-    logits_pert = clf.combo_head.forward(clf.backbone.net.forward(x_pert))[0]
+    logits_pert = clf.combo_head.forward(clf.backbone.forward(x_pert))[0]
     return -msp_from_logits(logits_pert / T)
 
 
@@ -188,11 +177,11 @@ def score_corpus(clf: SupervisedClassifier, images: Array, scorer: str,
     if scorer == "mahalanobis":
         if train_images is None or train_multihot is None:
             raise ValueError("mahalanobis needs the labeled training data")
-        feats = clf.backbone.net.forward(as_f64(train_images))
+        feats = clf.backbone.forward(as_f64(train_images))
         _, combo_idx = np.unique(as_f64(train_multihot).astype(np.int64),
                                  axis=0, return_inverse=True)
         stats = fit_gaussian_stats(feats, combo_idx, mahalanobis_eps)
-        corpus_feats = clf.backbone.net.forward(as_f64(images))
+        corpus_feats = clf.backbone.forward(as_f64(images))
         return np.array([mahalanobis_score(stats, corpus_feats[i]) for i in range(n)])
     raise ValueError(f"unknown scorer {scorer!r}")
 
@@ -201,18 +190,19 @@ def ablation_run(scores_by_scorer: dict[str, Array], corpus_images: Array,
                  labeled_train: tuple[Array, Array],
                  multilabel_test: tuple[Array, Array], n_bins: int,
                  policy: AugmentationPolicy, pretrain_cfg: SupConConfig,
-                 probe_cfg: ProbeConfig, seed: int) -> list[dict]:
+                 probe_cfg: ProbeConfig, embedding_dim: int, projection_dim: int,
+                 seed: int) -> list[dict]:
     """One labeled-corpus -> pretrain -> probe -> mean-AUC row per scorer,
     all scorers sharing seeds, splits, and training config."""
     train_x, train_y = labeled_train
     rows = []
     for scorer in scores_by_scorer:
         labeling = assign_severity_labels(scores_by_scorer[scorer], n_bins)
-        backbone = build_backbone(corpus_images.shape[-1], 64, seed)
-        head = build_projection_head(64, 32, seed + 1)
+        backbone = build_backbone(corpus_images.shape[-1], embedding_dim, seed)
+        head = build_projection_head(embedding_dim, projection_dim, seed + 1)
         cfg = SupConConfig(**{**pretrain_cfg.__dict__, "seed": seed})
         pretrain(backbone, head, corpus_images, labeling.labels, policy, cfg)
-        ml_head = build_classifier_head(backbone.embedding_dim, train_y.shape[1], seed + 2)
+        ml_head = build_classifier_head(embedding_dim, train_y.shape[1], seed + 2)
         norm = (policy.normalize_mean, policy.normalize_std)
         train_probe(backbone, ml_head, train_x, train_y,
                     ProbeConfig(**{**probe_cfg.__dict__, "seed": seed}),

@@ -20,7 +20,6 @@ FORMAT_VERSION = 1
 class Checkpoint:
     kind: str                      # e.g. "autoencoder", "backbone", "classifier-head"
     params: dict[str, Array]
-    optimizer_state: dict[str, Array] = field(default_factory=dict)
     epoch: int = 0
     config_hash: str = ""
     seed: int = 0
@@ -37,22 +36,20 @@ def save_checkpoint(path: Path, ckpt: Checkpoint):
         "extra": ckpt.extra,
         "param_keys": sorted(ckpt.params),
         "param_shapes": {k: list(v.shape) for k, v in ckpt.params.items()},
-        "optimizer_keys": sorted(ckpt.optimizer_state),
     }
     arrays = {f"param:{k}": np.asarray(v, dtype=np.float64) for k, v in ckpt.params.items()}
-    arrays.update({f"vel:{k}": np.asarray(v, dtype=np.float64)
-                   for k, v in ckpt.optimizer_state.items()})
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     with open(path, "wb") as f:
         np.savez(f, **arrays)
 
 
 def load_checkpoint(path: Path) -> Checkpoint:
+    """Read a checkpoint. Files from older writers may also carry optimizer
+    velocities (``vel:`` arrays, ``optimizer_keys`` meta); they are ignored."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format {meta['format_version']}")
         params = {k: data[f"param:{k}"] for k in meta["param_keys"]}
-        opt = {k: data[f"vel:{k}"] for k in meta["optimizer_keys"]}
-    return Checkpoint(meta["kind"], params, opt, meta["epoch"],
+    return Checkpoint(meta["kind"], params, meta["epoch"],
                       meta["config_hash"], meta["seed"], meta.get("extra", {}))

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,18 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
+def _load_artifact(path: Path, produced_by: str) -> Checkpoint:
+    """Load a checkpoint that `sevcon <produced_by>` writes; a missing or
+    unreadable file is a missing artifact."""
+    _require(path, produced_by)
+    try:
+        return load_checkpoint(path)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as e:
+        raise MissingArtifactError(
+            f"cannot read artifact {path} ({type(e).__name__}: {e}); "
+            f"remove it and rerun `sevcon {produced_by}`") from None
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list],
                cfg: ExperimentConfig):
     with open(path, "w", newline="") as f:
@@ -130,7 +143,7 @@ def _probe_config(cfg: ExperimentConfig, seed: int) -> evalprobe.ProbeConfig:
 # ---------------------------------------------------------------------------
 
 
-def stage_gen_data(run_dir: Path, cfg: ExperimentConfig):
+def stage_gen_data(run_dir: Path, cfg: ExperimentConfig, force: bool):
     sc = _synth_config(cfg)
     d = cfg.data
     meta = {"config_hash": cfg.config_hash(), "seed": cfg.seed}
@@ -191,18 +204,21 @@ def stage_train_gradcon(run_dir: Path, cfg: ExperimentConfig, force: bool):
 
 
 def _load_gradcon(run_dir: Path, cfg: ExperimentConfig, force: bool):
-    ckpt = load_checkpoint(_require(run_dir / "gradcon" / "autoencoder.npz",
-                                    "train-gradcon"))
+    ckpt = _load_artifact(run_dir / "gradcon" / "autoencoder.npz", "train-gradcon")
     _check_hash(ckpt.config_hash, cfg, "gradcon autoencoder", force)
     model = models.build_autoencoder(ckpt.extra["image_side"], ckpt.extra["latent_dim"],
                                      ckpt.extra["model_seed"])
     model.load_param_dict(ckpt.params)
-    rckpt = load_checkpoint(_require(run_dir / "gradcon" / "reference.npz",
-                                     "train-gradcon"))
+    rckpt = _load_artifact(run_dir / "gradcon" / "reference.npz", "train-gradcon")
     n_layers = len(rckpt.params)
     ref = gradcon.ReferenceGradients(
         [rckpt.params[f"layer{i}"] for i in range(n_layers)], rckpt.extra["count"])
     return model, ref
+
+
+def _classifier_parts(clf: baselines.SupervisedClassifier) -> dict:
+    """Checkpoint key prefix of each network in the supervised classifier."""
+    return {"b": clf.backbone, "h": clf.multilabel_head, "c": clf.combo_head}
 
 
 def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool):
@@ -210,31 +226,27 @@ def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool)
     train = _load_dataset(run_dir, "labeled_train")
     b = cfg.baselines
     if path.exists():
-        ckpt = load_checkpoint(path)
+        ckpt = _load_artifact(path, "score --scorer msp")
         _check_hash(ckpt.config_hash, cfg, "supervised classifier", force)
-        backbone = models.build_backbone(cfg.data.image_side, 64,
-                                         cfg.derive_seed("classifier"))
-        backbone.load_param_dict(
-            {k[len("b."):]: v for k, v in ckpt.params.items() if k.startswith("b.")})
-        combo_classes = np.array(ckpt.extra["combo_classes"], dtype=np.int64)
-        rng_head = np.random.default_rng(0)
-        from .numerics import Dense, Network
-        ml_head = Network([Dense(64, synthdata.N_BIOMARKERS, rng_head)])
-        combo_head = Network([Dense(64, combo_classes.shape[0], rng_head)])
-        ml_head.load_param_dict(
-            {k[len("h."):]: v for k, v in ckpt.params.items() if k.startswith("h.")})
-        combo_head.load_param_dict(
-            {k[len("c."):]: v for k, v in ckpt.params.items() if k.startswith("c.")})
-        return baselines.SupervisedClassifier(backbone, ml_head, combo_head,
-                                              combo_classes), train
+        # layer widths come from the stored head weights, shaped (embedding, classes)
+        ml_w, combo_w = ckpt.params["h.0.w"], ckpt.params["c.0.w"]
+        clf = baselines.SupervisedClassifier(
+            models.build_backbone(cfg.data.image_side, ml_w.shape[0], 0),
+            models.build_classifier_head(*ml_w.shape, 0),
+            models.build_classifier_head(*combo_w.shape, 0),
+            np.array(ckpt.extra["combo_classes"], dtype=np.int64))
+        for prefix, net in _classifier_parts(clf).items():
+            net.load_param_dict({k[len(prefix) + 1:]: v for k, v in ckpt.params.items()
+                                 if k.startswith(prefix + ".")})
+        return clf, train
     ccfg = baselines.ClassifierConfig(b.classifier_epochs, b.classifier_batch_size,
                                       b.classifier_learning_rate, b.classifier_momentum,
                                       cfg.derive_seed("classifier"))
-    clf = baselines.train_supervised_classifier(train.images, train.multihot(), ccfg)
+    clf = baselines.train_supervised_classifier(train.images, train.multihot(),
+                                                cfg.contrastive.embedding_dim, ccfg)
     path.parent.mkdir(parents=True, exist_ok=True)
-    params = {f"b.{k}": v for k, v in clf.backbone.net.named_params()}
-    params.update({f"h.{k}": v for k, v in clf.multilabel_head.named_params()})
-    params.update({f"c.{k}": v for k, v in clf.combo_head.named_params()})
+    params = {f"{prefix}.{k}": v for prefix, net in _classifier_parts(clf).items()
+              for k, v in net.named_params()}
     save_checkpoint(path, Checkpoint(
         "classifier", params, config_hash=cfg.config_hash(),
         seed=cfg.derive_seed("classifier"),
@@ -277,7 +289,8 @@ def _load_scores(run_dir: Path, scorer: str) -> tuple[list[str], np.ndarray]:
     return ids, np.array([float(r["severity"]) for r in records])
 
 
-def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer: str):
+def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer: str,
+                      force: bool):
     ids, scores = _load_scores(run_dir, scorer)
     try:
         lab = labeling.assign_severity_labels(scores, n_bins)
@@ -295,10 +308,13 @@ def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer:
 
 def _load_labels(run_dir: Path, scorer: str, n_bins: int,
                  sample_ids: list[str]) -> np.ndarray:
-    path = _require(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv",
-                    f"make-labels --bins {n_bins} --scorer {scorer}")
-    records = {r["sample_id"]: int(r["bin_label"]) for r in _read_csv(path)}
-    return np.array([records[sid] for sid in sample_ids], dtype=np.int64)
+    produced_by = f"make-labels --bins {n_bins} --scorer {scorer}"
+    path = _require(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv", produced_by)
+    records = _read_csv(path)
+    if [r["sample_id"] for r in records] != sample_ids:
+        raise MissingArtifactError(
+            f"label file {path} does not match the corpus; rerun `sevcon {produced_by}`")
+    return np.array([int(r["bin_label"]) for r in records], dtype=np.int64)
 
 
 def _backbone_tag(mode: str, scorer: str, n_bins: int) -> str:
@@ -308,7 +324,9 @@ def _backbone_tag(mode: str, scorer: str, n_bins: int) -> str:
 
 
 def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
-                   n_bins: int, force: bool):
+                   n_bins: int | None, force: bool):
+    if n_bins is None:
+        n_bins = cfg.labeling.n_bins
     unlabeled = _load_dataset(run_dir, "unlabeled").training_view()
     tag = _backbone_tag(mode, scorer, n_bins)
     c = cfg.contrastive
@@ -346,8 +364,8 @@ def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
 
 
 def _load_backbone(run_dir: Path, cfg: ExperimentConfig, tag: str, force: bool):
-    ckpt = load_checkpoint(_require(run_dir / "pretrain" / f"backbone_{tag}.npz",
-                                    f"pretrain (tag {tag})"))
+    ckpt = _load_artifact(run_dir / "pretrain" / f"backbone_{tag}.npz",
+                          f"pretrain (tag {tag})")
     _check_hash(ckpt.config_hash, cfg, f"backbone {tag}", force)
     backbone = models.build_backbone(ckpt.extra["image_side"],
                                      ckpt.extra["embedding_dim"],
@@ -366,7 +384,8 @@ def stage_probe(run_dir: Path, cfg: ExperimentConfig, task: str, tag: str, force
     else:
         y = multihot[:, synthdata.BIOMARKER_NAMES.index(task)]
         out_dim = 1
-    head = models.build_classifier_head(backbone.embedding_dim, out_dim,
+    embedding_dim = backbone.layers[-1].n_out
+    head = models.build_classifier_head(embedding_dim, out_dim,
                                         cfg.derive_seed(f"probe-head-{task}"))
     pcfg = _probe_config(cfg, cfg.derive_seed(f"probe-train-{task}"))
     norm = (cfg.contrastive.normalize_mean, cfg.contrastive.normalize_std)
@@ -377,7 +396,7 @@ def stage_probe(run_dir: Path, cfg: ExperimentConfig, task: str, tag: str, force
         "classifier-head", head.param_dict(), epoch=pcfg.epochs,
         config_hash=cfg.config_hash(), seed=pcfg.seed,
         extra={"tag": tag, "task": task, "output_dim": out_dim,
-               "embedding_dim": backbone.embedding_dim}))
+               "embedding_dim": embedding_dim}))
     print(f"probe[{tag}/{task}]: trained linear head")
 
 
@@ -385,7 +404,7 @@ def _load_head(run_dir: Path, cfg: ExperimentConfig, tag: str, task: str, force:
     path = run_dir / "probe" / f"head_{tag}_{task}.npz"
     if not path.exists():
         return None
-    ckpt = load_checkpoint(path)
+    ckpt = _load_artifact(path, f"probe --task {task} --tag {tag}")
     _check_hash(ckpt.config_hash, cfg, f"probe head {tag}/{task}", force)
     head = models.build_classifier_head(ckpt.extra["embedding_dim"],
                                         ckpt.extra["output_dim"], 0)
@@ -436,8 +455,9 @@ def stage_ablate(run_dir: Path, cfg: ExperimentConfig, n_bins: int, force: bool)
     rows = baselines.ablation_run(
         scores_by_scorer, unlabeled.images,
         (train.images, train.multihot()), (ml.images, ml.multihot()),
-        n_bins, _policy(cfg), _supcon_config(cfg, 0),
-        _probe_config(cfg, 0), cfg.derive_seed("ablate"))
+        n_bins, _policy(cfg), _supcon_config(cfg, 0), _probe_config(cfg, 0),
+        cfg.contrastive.embedding_dim, cfg.contrastive.projection_dim,
+        cfg.derive_seed("ablate"))
     out = run_dir / "report"
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "ablation.csv", ["scorer", "n_bins", "mean_auc"],
@@ -511,6 +531,8 @@ def stage_report(run_dir: Path, cfg: ExperimentConfig, force: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand sets `stage`, called with the run directory, the config,
+    and the remaining parsed options as keyword arguments."""
     parser = argparse.ArgumentParser(
         prog="sevcon",
         description="Severity pseudo-labeling + supervised contrastive pipeline")
@@ -520,53 +542,42 @@ def build_parser() -> argparse.ArgumentParser:
                         help="proceed despite config-hash mismatches")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("gen-data")
-    sub.add_parser("train-gradcon")
-    p = sub.add_parser("score")
+    def add(command, stage):
+        p = sub.add_parser(command)
+        p.set_defaults(stage=stage)
+        return p
+
+    add("gen-data", stage_gen_data)
+    add("train-gradcon", stage_train_gradcon)
+    p = add("score", stage_score)
     p.add_argument("--scorer", choices=SCORERS, default="severity")
-    p = sub.add_parser("make-labels")
-    p.add_argument("--bins", type=int, required=True)
+    p = add("make-labels", stage_make_labels)
+    p.add_argument("--bins", dest="n_bins", type=int, required=True)
     p.add_argument("--scorer", choices=SCORERS, default="severity")
-    p = sub.add_parser("pretrain")
+    p = add("pretrain", stage_pretrain)
     p.add_argument("--mode", choices=("severity", "simclr", "random"),
                    default="severity")
     p.add_argument("--scorer", choices=SCORERS, default="severity")
-    p.add_argument("--bins", type=int, default=None)
-    p = sub.add_parser("probe")
+    p.add_argument("--bins", dest="n_bins", type=int, default=None)
+    p = add("probe", stage_probe)
     p.add_argument("--task", choices=PROBE_TASKS, required=True)
     p.add_argument("--tag", required=True, help="backbone tag, e.g. severity_b250")
-    p = sub.add_parser("evaluate")
+    p = add("evaluate", stage_evaluate)
     p.add_argument("--tag", required=True)
-    p = sub.add_parser("ablate")
-    p.add_argument("--bins", type=int, required=True)
-    sub.add_parser("report")
+    p = add("ablate", stage_ablate)
+    p.add_argument("--bins", dest="n_bins", type=int, required=True)
+    add("report", stage_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    run_dir = Path(args.run_dir)
+    opts = vars(build_parser().parse_args(argv))
+    run_dir = Path(opts.pop("run_dir"))
+    config_path = opts.pop("config")
+    stage = opts.pop("stage")
+    del opts["command"]
     try:
-        cfg = _run_config(run_dir, args.config, args.force)
-        if args.command == "gen-data":
-            stage_gen_data(run_dir, cfg)
-        elif args.command == "train-gradcon":
-            stage_train_gradcon(run_dir, cfg, args.force)
-        elif args.command == "score":
-            stage_score(run_dir, cfg, args.scorer, args.force)
-        elif args.command == "make-labels":
-            stage_make_labels(run_dir, cfg, args.bins, args.scorer)
-        elif args.command == "pretrain":
-            n_bins = args.bins if args.bins is not None else cfg.labeling.n_bins
-            stage_pretrain(run_dir, cfg, args.mode, args.scorer, n_bins, args.force)
-        elif args.command == "probe":
-            stage_probe(run_dir, cfg, args.task, args.tag, args.force)
-        elif args.command == "evaluate":
-            stage_evaluate(run_dir, cfg, args.tag, args.force)
-        elif args.command == "ablate":
-            stage_ablate(run_dir, cfg, args.bins, args.force)
-        elif args.command == "report":
-            stage_report(run_dir, cfg, args.force)
+        stage(run_dir, _run_config(run_dir, config_path, opts["force"]), **opts)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

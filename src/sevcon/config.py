@@ -8,6 +8,8 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .models import SUPPORTED_SIDES
+
 
 class ConfigError(ValueError):
     """Bad or inconsistent configuration (CLI exit code 2)."""
@@ -181,4 +183,7 @@ def load_config(path: Path) -> ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"unknown key {sec_name}.{key}")
             setattr(section, key, _convert(raw, type_map[key], f"{sec_name}.{key}"))
+    if cfg.data.image_side not in SUPPORTED_SIDES:
+        raise ConfigError(f"data.image_side {cfg.data.image_side} is unsupported; "
+                          f"supported: {SUPPORTED_SIDES}")
     return cfg

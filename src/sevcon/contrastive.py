@@ -12,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Backbone, ProjectionHead, normalize_rows_backward
-from .numerics import (
-    Array,
-    NumericalError,
-    SgdState,
-    as_f64,
-    require_finite,
-    sgd_step,
-)
+from .models import normalize_rows_backward
+from .numerics import Array, Network, NumericalError, SgdState, as_f64, sgd_step
 
 
 @dataclass
@@ -173,20 +166,20 @@ def _balanced_batches(labels: Array, batch_size: int, rng: np.random.Generator):
         yield np.asarray(idxs)
 
 
-def pretrain(backbone: Backbone, head: ProjectionHead, images: Array,
+def pretrain(backbone: Network, head: Network, images: Array,
              pseudo_labels: Array, policy: AugmentationPolicy,
              config: SupConConfig) -> list[float]:
     """Train backbone + projection head with the supervised contrastive loss.
 
-    Returns the per-epoch mean loss curve; the head is conventionally
-    discarded by the caller afterwards.
+    Both are updated in place. Returns the per-epoch mean loss curve; the
+    head is conventionally discarded by the caller afterwards.
     """
     images = as_f64(images)
     labels = np.asarray(pseudo_labels)
     rng = np.random.default_rng(config.seed)
     opt = SgdState(config.learning_rate, config.momentum)
-    b_params = backbone.net.param_dict()
-    h_params = head.net.param_dict()
+    net = Network(backbone.layers + head.layers)
+    params = net.param_dict()
     curve: list[float] = []
     for _ in range(config.epochs):
         losses = []
@@ -196,8 +189,7 @@ def pretrain(backbone: Backbone, head: ProjectionHead, images: Array,
             batches = _epoch_batches(images.shape[0], config.batch_size, rng)
         for idxs in batches:
             batch = build_multiview_batch(images, labels, idxs, policy, rng)
-            r = backbone.net.forward(batch.views)
-            u = head.net.forward(r)
+            u = net.forward(batch.views)
             norms = np.linalg.norm(u, axis=1, keepdims=True)
             if np.any(norms < 1e-12):
                 raise NumericalError("projection collapsed to zero vector")
@@ -205,22 +197,14 @@ def pretrain(backbone: Backbone, head: ProjectionHead, images: Array,
             loss, dz = supcon_loss_and_grad(zed, batch.labels, config.tau)
             if not np.isfinite(loss):
                 raise NumericalError("non-finite contrastive loss")
-            du = normalize_rows_backward(u, zed, dz)
-            dr = head.net.backward(du)
-            backbone.net.backward(dr)
-            grads = {**{f"b.{k}": v for k, v in backbone.net.grad_dict().items()},
-                     **{f"h.{k}": v for k, v in head.net.grad_dict().items()}}
-            for v in grads.values():
-                require_finite(v, "contrastive gradients")
-            params = {**{f"b.{k}": v for k, v in b_params.items()},
-                      **{f"h.{k}": v for k, v in h_params.items()}}
-            sgd_step(opt, params, grads)
+            net.backward(normalize_rows_backward(u, zed, dz))
+            sgd_step(opt, params, net.grad_dict())
             losses.append(loss)
         curve.append(float(np.mean(losses)))
     return curve
 
 
-def simclr_mode(backbone: Backbone, head: ProjectionHead, images: Array,
+def simclr_mode(backbone: Network, head: Network, images: Array,
                 policy: AugmentationPolicy, config: SupConConfig) -> list[float]:
     """Instance-discrimination pretraining: each source is its own class."""
     return pretrain(backbone, head, images, np.arange(images.shape[0]),

@@ -8,14 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import Backbone, ClassifierHead
 from .numerics import (
     Array,
+    Network,
     NumericalError,
     SgdState,
     as_f64,
     bce_with_logits,
-    require_finite,
     sgd_step,
 )
 
@@ -110,7 +109,7 @@ def roc_auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _embed_all(backbone: Backbone, images: Array,
+def _embed_all(backbone: Network, images: Array,
                normalize: tuple[float, float] | None = None,
                batch_size: int = 256) -> Array:
     """Embed a corpus with the frozen backbone.
@@ -124,53 +123,51 @@ def _embed_all(backbone: Backbone, images: Array,
         images = (images - mean) / std
     outs = []
     for start in range(0, images.shape[0], batch_size):
-        outs.append(backbone.net.forward(images[start:start + batch_size]))
+        outs.append(backbone.forward(images[start:start + batch_size]))
     return np.concatenate(outs, axis=0)
 
 
-def train_probe(backbone: Backbone, head: ClassifierHead, images: Array,
+def train_probe(backbone: Network, head: Network, images: Array,
                 labels: Array, config: ProbeConfig,
-                normalize: tuple[float, float] | None = None) -> ClassifierHead:
+                normalize: tuple[float, float] | None = None) -> Network:
     """Train only the linear head on frozen-backbone embeddings.
 
-    Binary task: labels (n,), head output_dim 1, sigmoid cross-entropy.
+    Binary task: labels (n,), head output width 1, sigmoid cross-entropy.
     Multi-label: labels (n, L), per-label sigmoid cross-entropy.
     """
     feats = _embed_all(backbone, as_f64(images), normalize)
     y = as_f64(labels)
     if y.ndim == 1:
         y = y[:, None]
-    if y.shape[1] != head.output_dim:
-        raise ValueError(f"label width {y.shape[1]} != head output_dim {head.output_dim}")
+    out_dim = head.layers[-1].n_out
+    if y.shape[1] != out_dim:
+        raise ValueError(f"label width {y.shape[1]} != head output width {out_dim}")
     rng = np.random.default_rng(config.seed)
     opt = SgdState(config.learning_rate, config.momentum)
-    params = head.net.param_dict()
+    params = head.param_dict()
     n = feats.shape[0]
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            logits = head.net.forward(feats[idx])
+            logits = head.forward(feats[idx])
             loss, dlogits = bce_with_logits(logits, y[idx])
             if not np.isfinite(loss):
                 raise NumericalError("non-finite probe loss")
-            head.net.backward(dlogits)
-            grads = head.net.grad_dict()
-            for v in grads.values():
-                require_finite(v, "probe gradients")
-            sgd_step(opt, params, grads)
+            head.backward(dlogits)
+            sgd_step(opt, params, head.grad_dict())
     return head
 
 
-def predict_scores(backbone: Backbone, head: ClassifierHead, images: Array,
+def predict_scores(backbone: Network, head: Network, images: Array,
                    normalize: tuple[float, float] | None = None) -> Array:
     """Raw logits per label; monotone in the sigmoid probabilities."""
-    return head.net.forward(_embed_all(backbone, as_f64(images), normalize))
+    return head.forward(_embed_all(backbone, as_f64(images), normalize))
 
 
-def evaluate(backbone: Backbone, binary_heads: dict[str, ClassifierHead],
+def evaluate(backbone: Network, binary_heads: dict[str, Network],
              binary_tests: dict[str, tuple[Array, Array]],
-             multilabel_head: ClassifierHead | None,
+             multilabel_head: Network | None,
              multilabel_test: tuple[Array, Array] | None,
              provenance: dict | None = None,
              normalize: tuple[float, float] | None = None) -> ProbeResult:

@@ -3,8 +3,7 @@ reference-gradient bookkeeping, and severity scoring.
 
 The severity score of an image is its reconstruction error minus alpha times
 the alignment of its decoder gradients with the reference gradients averaged
-over healthy training. Higher score = more severe. The printed-sign variant
-(a normality score) is exposed as ``normality_score``.
+over healthy training. Higher score = more severe.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .numerics import (
     ShapeError,
     as_f64,
     cosine_similarity,
-    require_finite,
     sgd_step,
 )
 
@@ -62,10 +60,6 @@ class SeverityScore:
     l_grad: float
 
 
-def normality_score(score: SeverityScore) -> float:
-    return -score.value
-
-
 def reconstruction_loss(x: Array, xhat: Array) -> float:
     """Mean over all pixels of (x - xhat)^2."""
     x = as_f64(x)
@@ -81,12 +75,11 @@ def reconstruction_loss_grad(x: Array, xhat: Array) -> Array:
 
 
 def decoder_weight_gradients(model: Autoencoder) -> list[Array]:
-    """Flattened weight gradients of each parameterized decoder layer,
-    in layer order. Biases are excluded."""
-    out = []
-    for i in model.decoder_weight_layers():
-        out.append(model.decoder.layers[i].grads["w"].ravel().copy())
-    return out
+    """Flattened weight gradients of each parameterized decoder layer, in
+    layer order, from the last backward pass. Biases are excluded. Copies, so
+    later backward passes leave them intact."""
+    return [model.decoder.layers[i].grads["w"].ravel().copy()
+            for i in model.decoder_weight_layers()]
 
 
 def gradient_alignment(current: list[Array], ref: ReferenceGradients) -> float:
@@ -215,7 +208,7 @@ def train_gradcon(healthy: Array, config: GradconConfig, model: Autoencoder,
             loss, grads = _recon_backward(model, batch)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite reconstruction loss at epoch {epoch}")
-            dec_grads = [grads[k].ravel().copy() for k in dec_key_order]
+            dec_grads = decoder_weight_gradients(model)
 
             update = {k: v.copy() for k, v in grads.items()}
             if ref.initialized():
@@ -224,17 +217,15 @@ def train_gradcon(healthy: Array, config: GradconConfig, model: Autoencoder,
                 if held is not None:
                     aligns = []
                     for i in range(held.shape[0]):
-                        _, g = _recon_backward(model, held[i:i + 1])
+                        _recon_backward(model, held[i:i + 1])
                         aligns.append(gradient_alignment(
-                            [g[k].ravel() for k in dec_key_order], ref))
+                            decoder_weight_gradients(model), ref))
                     held_vals.append(float(np.mean(aligns)))
                 if config.constraint_in_update and config.alpha != 0.0:
                     dalign = _alignment_grad_wrt_gradients(dec_grads, ref)
                     hv = _constraint_update_term(model, batch, dec_key_order, dalign)
                     for k in update:
                         update[k] -= config.alpha * hv[k]
-            for v in update.values():
-                require_finite(v, "gradcon update")
             sgd_step(opt, params, update)
             update_reference(ref, dec_grads)
             recon_vals.append(loss)
@@ -261,9 +252,8 @@ def severity_score(model: Autoencoder, ref: ReferenceGradients, x: Array,
     batch = x[None] if x.ndim == 3 else x
     if batch.shape[0] != 1:
         raise ShapeError("severity_score takes a single image")
-    l_recon, grads = _recon_backward(model, batch)
-    dec = [grads[f"decoder.{i}.w"].ravel() for i in model.decoder_weight_layers()]
-    l_grad = gradient_alignment(dec, ref)
+    l_recon, _ = _recon_backward(model, batch)
+    l_grad = gradient_alignment(decoder_weight_gradients(model), ref)
     return SeverityScore(value=l_recon - alpha * l_grad, l_recon=l_recon, l_grad=l_grad)
 
 

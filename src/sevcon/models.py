@@ -1,8 +1,15 @@
 """Concrete network builders: convolutional autoencoder, encoder backbone,
 projection head, and linear classifier heads.
 
+The backbone and both heads are plain ``Network`` stacks; a caller that needs
+an output width reads it from the last layer (``net.layers[-1].n_out``), and
+a backbone trained jointly with a head is ``Network(backbone.layers +
+head.layers)``, which shares the layer objects. Only the autoencoder keeps a
+class of its own, for the encoder/decoder split that gradcon scores with.
+
 All builders are deterministic in (config, seed). Desk-scale defaults:
-32x32 grayscale inputs, 64-d backbone embedding, 32-d projection.
+32x32 grayscale inputs; the embedding and projection widths come from the
+``[contrastive]`` config (64 and 32 by default).
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from .numerics import (
     Network,
     Relu,
     Reshape,
-    ShapeError,
     Sigmoid,
     params_checksum,
 )
@@ -60,46 +66,6 @@ class Autoencoder:
         return params_checksum(self.param_dict())
 
 
-@dataclass
-class Backbone:
-    net: Network
-    image_side: int
-    embedding_dim: int
-
-    def param_dict(self) -> dict[str, Array]:
-        return self.net.param_dict()
-
-    def load_param_dict(self, params):
-        self.net.load_param_dict(params)
-
-    def checksum(self) -> str:
-        return params_checksum(self.param_dict())
-
-
-@dataclass
-class ProjectionHead:
-    net: Network  # dense -> relu -> dense, exactly one hidden layer
-    output_dim: int
-
-    def param_dict(self) -> dict[str, Array]:
-        return self.net.param_dict()
-
-    def load_param_dict(self, params):
-        self.net.load_param_dict(params)
-
-
-@dataclass
-class ClassifierHead:
-    net: Network  # a single dense layer
-    output_dim: int
-
-    def param_dict(self) -> dict[str, Array]:
-        return self.net.param_dict()
-
-    def load_param_dict(self, params):
-        self.net.load_param_dict(params)
-
-
 def _check_side(image_side: int):
     if image_side not in SUPPORTED_SIDES:
         raise ValueError(f"unsupported image_side {image_side}; supported: {SUPPORTED_SIDES}")
@@ -135,7 +101,7 @@ def build_autoencoder(image_side: int, latent_dim: int, seed: int) -> Autoencode
     return Autoencoder(Network(enc), Network(dec), image_side, latent_dim)
 
 
-def build_backbone(image_side: int, embedding_dim: int, seed: int) -> Backbone:
+def build_backbone(image_side: int, embedding_dim: int, seed: int) -> Network:
     _check_side(image_side)
     rng = np.random.default_rng(seed)
     n_down = 3 if image_side == 32 else 4
@@ -147,48 +113,23 @@ def build_backbone(image_side: int, embedding_dim: int, seed: int) -> Backbone:
         c, c_out = c_out, min(c_out * 2, 32)
     grid = image_side // (2 ** n_down)
     layers += [Flatten(), Dense(c * grid * grid, embedding_dim, rng)]
-    return Backbone(Network(layers), image_side, embedding_dim)
+    return Network(layers)
 
 
-def build_projection_head(embedding_dim: int, output_dim: int, seed: int) -> ProjectionHead:
+def build_projection_head(embedding_dim: int, output_dim: int, seed: int) -> Network:
+    """dense -> relu -> dense, exactly one hidden layer."""
     rng = np.random.default_rng(seed)
-    net = Network([
+    return Network([
         Dense(embedding_dim, embedding_dim, rng),
         Relu(),
         Dense(embedding_dim, output_dim, rng),
     ])
-    return ProjectionHead(net, output_dim)
 
 
-def build_classifier_head(embedding_dim: int, output_dim: int, seed: int) -> ClassifierHead:
+def build_classifier_head(embedding_dim: int, output_dim: int, seed: int) -> Network:
+    """A single dense layer producing logits."""
     rng = np.random.default_rng(seed)
-    return ClassifierHead(Network([Dense(embedding_dim, output_dim, rng)]), output_dim)
-
-
-def _as_batch(image: Array) -> tuple[Array, bool]:
-    if image.ndim == 3:
-        return image[None], True
-    if image.ndim == 4:
-        return image, False
-    raise ShapeError(f"expected (C,H,W) or (B,C,H,W) image, got {image.shape}")
-
-
-def embed(backbone: Backbone, image: Array) -> Array:
-    """Map an image (or batch) to its flat embedding r."""
-    batch, single = _as_batch(image)
-    r = backbone.net.forward(batch)
-    return r[0] if single else r
-
-
-def project(head: ProjectionHead, r: Array) -> Array:
-    """Project an embedding (or batch) to the unit sphere: z = G(r)/|G(r)|."""
-    single = r.ndim == 1
-    u = head.net.forward(r[None] if single else r)
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise ValueError("projection head produced a zero vector (degenerate head)")
-    z = u / norms
-    return z[0] if single else z
+    return Network([Dense(embedding_dim, output_dim, rng)])
 
 
 def normalize_rows_backward(u: Array, z: Array, dz: Array) -> Array:

@@ -295,11 +295,17 @@ class SgdState:
 
 
 def sgd_step(state: SgdState, params: dict[str, Array], grads: dict[str, Array]):
-    """v <- momentum*v + g;  p <- p - lr*v.  Updates params in place."""
+    """v <- momentum*v + g;  p <- p - lr*v.  Updates params in place.
+
+    Every gradient is checked for shape and finiteness before any parameter
+    or velocity moves, so a rejected step leaves the model untouched."""
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
             raise ShapeError(f"grad {key}: shape {g.shape} != {p.shape}")
+        require_finite(g, f"gradient {key}")
+    for key, p in params.items():
+        g = grads[key]
         v = state.velocity.get(key)
         if v is None:
             v = np.zeros_like(p)

@@ -392,7 +392,7 @@ def test_criterion_9_determinism(verdict, small_runs, tmp_path):
     original = load_checkpoint(ckpt_path)
     copy_path = tmp_path / "copy.npz"
     save_checkpoint(copy_path, Checkpoint(
-        original.kind, original.params, original.optimizer_state,
+        original.kind, original.params,
         original.epoch, original.config_hash, original.seed, original.extra))
     reloaded = load_checkpoint(copy_path)
     round_trip = all(np.asarray(reloaded.params[k]).tobytes()

@@ -29,7 +29,7 @@ def tiny_classifier():
     images = np.clip(RNG.random(size=(n, 1, 32, 32)), 0.0, 1.0)
     multihot = RNG.integers(0, 2, size=(n, 5)).astype(float)
     cfg = ClassifierConfig(epochs=2, batch_size=8, learning_rate=1e-3, seed=0)
-    clf = train_supervised_classifier(images, multihot, cfg)
+    clf = train_supervised_classifier(images, multihot, 64, cfg)
     return clf, images, multihot
 
 
@@ -133,7 +133,7 @@ def test_ablation_run_shared_seeds_identical_for_identical_scores():
         policy=AugmentationPolicy(),
         pretrain_cfg=SupConConfig(epochs=1, batch_size=8, learning_rate=1e-3),
         probe_cfg=ProbeConfig(epochs=2, batch_size=8),
-        seed=3)
+        embedding_dim=64, projection_dim=32, seed=3)
     assert [r["scorer"] for r in rows] == ["a", "b", "c"]
     assert all(r["n_bins"] == 4 for r in rows)
     # identical scores and rank-preserving shifts give bitwise-equal rows

@@ -1,5 +1,7 @@
 """Checkpoint persistence must round-trip bitwise."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,7 @@ from sevcon.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 def test_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
     params = {"enc.0.w": rng.normal(size=(3, 4)), "enc.0.b": rng.normal(size=4)}
-    vel = {"enc.0.w": rng.normal(size=(3, 4))}
-    ckpt = Checkpoint("backbone", params, vel, epoch=7, config_hash="deadbeef",
+    ckpt = Checkpoint("backbone", params, epoch=7, config_hash="deadbeef",
                       seed=123, extra={"tag": "simclr", "dims": [1, 2]})
     path = tmp_path / "c.npz"
     save_checkpoint(path, ckpt)
@@ -23,7 +24,23 @@ def test_round_trip_bitwise(tmp_path):
     for k in params:
         assert np.array_equal(back.params[k], params[k])
         assert back.params[k].tobytes() == params[k].tobytes()  # bitwise
-    assert np.array_equal(back.optimizer_state["enc.0.w"], vel["enc.0.w"])
+
+
+def test_reads_checkpoint_with_optimizer_velocities(tmp_path):
+    """Older writers also stored SGD velocities ("vel:" arrays listed under
+    "optimizer_keys"); such files still load, velocities ignored."""
+    w = np.arange(6.0).reshape(2, 3)
+    meta = {"format_version": 1, "kind": "backbone", "epoch": 3, "config_hash": "abc",
+            "seed": 4, "extra": {}, "param_keys": ["0.w"],
+            "param_shapes": {"0.w": [2, 3]}, "optimizer_keys": ["0.w"]}
+    path = tmp_path / "old.npz"
+    with open(path, "wb") as f:
+        np.savez(f, **{"param:0.w": w, "vel:0.w": -w,
+                       "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)})
+    back = load_checkpoint(path)
+    assert (back.kind, back.epoch, back.config_hash, back.seed) == ("backbone", 3, "abc", 4)
+    assert list(back.params) == ["0.w"]
+    assert back.params["0.w"].tobytes() == w.tobytes()
 
 
 def test_save_load_save_is_stable(tmp_path):
@@ -38,8 +55,6 @@ def test_save_load_save_is_stable(tmp_path):
 def test_format_version_check(tmp_path):
     path = tmp_path / "c.npz"
     save_checkpoint(path, Checkpoint("x", {"w": np.zeros(2)}))
-    import json
-
     data = dict(np.load(path))
     meta = json.loads(bytes(data["meta"]).decode())
     meta["format_version"] = 999

@@ -1,10 +1,13 @@
 """End-to-end CLI pipeline on a miniature configuration, plus exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from sevcon import baselines
+from sevcon.checkpoint import load_checkpoint
 from sevcon.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main
 
 SMALL_INI = """\
@@ -129,10 +132,12 @@ def test_rerun_stage_is_deterministic(small_run):
     assert (run / "scores" / "severity.csv").read_bytes() == before
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(small_run, tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[gradcon]\nepochs = many\n")
     fresh = tmp_path / "fresh"
+    assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    bad.write_text("[data]\nimage_side = 48\n")  # no architecture for this size
     assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
 
     empty = tmp_path / "empty"
@@ -145,6 +150,16 @@ def test_exit_codes(tmp_path):
     assert main(["--run-dir", str(empty), "probe", "--task", "bio_a",
                  "--tag", "simclr"]) == EXIT_MISSING
     assert main(["--run-dir", str(empty), "report"]) == EXIT_MISSING
+
+    # upstream artifacts present but unusable
+    run = tmp_path / "damaged"
+    shutil.copytree(small_run[0], run)
+    labels = run / "labels" / "severity_bins8.csv"
+    labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
+    assert main(["--run-dir", str(run), "pretrain", "--bins", "8"]) == EXIT_MISSING
+    ckpt = run / "gradcon" / "autoencoder.npz"
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
+    assert main(["--run-dir", str(run), "score"]) == EXIT_MISSING
 
 
 def test_config_hash_mismatch_is_config_error(small_run, tmp_path):
@@ -167,3 +182,34 @@ def test_bootstraps_default_config(tmp_path, capsys):
     rc = main(["--run-dir", str(run), "probe", "--task", "bio_a", "--tag", "x"])
     assert rc == EXIT_MISSING
     assert (run / "config.ini").exists()
+
+
+def test_contrastive_dims_reach_classifier_and_ablation(tmp_path, monkeypatch):
+    cfg = tmp_path / "dims.ini"
+    cfg.write_text(SMALL_INI.replace(
+        "[contrastive]\n", "[contrastive]\nembedding_dim = 16\nprojection_dim = 8\n"))
+    run = tmp_path / "run"
+
+    def cli(*args):
+        return main(["--run-dir", str(run), *args])
+
+    widths = []
+    real_pretrain = baselines.pretrain
+
+    def spy(backbone, head, *args):
+        widths.append((backbone.layers[-1].n_out, head.layers[-1].n_out))
+        return real_pretrain(backbone, head, *args)
+
+    monkeypatch.setattr(baselines, "pretrain", spy)
+    assert cli("--config", str(cfg), "gen-data") == EXIT_OK
+    assert cli("train-gradcon") == EXIT_OK
+    for scorer in ("severity", "msp", "odin", "mahalanobis"):
+        assert cli("score", "--scorer", scorer) == EXIT_OK
+    params = load_checkpoint(run / "baselines" / "classifier.npz").params
+    assert params["h.0.w"].shape[0] == params["c.0.w"].shape[0] == 16
+    # the second msp run reloads the stored classifier at its stored widths
+    trained = (run / "scores" / "msp.csv").read_bytes()
+    assert cli("score", "--scorer", "msp") == EXIT_OK
+    assert (run / "scores" / "msp.csv").read_bytes() == trained
+    assert cli("ablate", "--bins", "8") == EXIT_OK
+    assert widths == [(16, 8)] * 4

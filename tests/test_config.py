@@ -48,6 +48,15 @@ def test_type_errors_and_bool_parsing(tmp_path):
     assert load_config(path).gradcon.constraint_in_update is False
 
 
+def test_unsupported_image_side_rejected(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[data]\nimage_side = 48\n")
+    with pytest.raises(ConfigError, match="image_side 48"):
+        load_config(path)
+    path.write_text("[data]\nimage_side = 64\n")
+    assert load_config(path).data.image_side == 64
+
+
 def test_malformed_ini(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("not an ini file [ at all\n= 3")

@@ -79,7 +79,7 @@ def test_probe_learns_linearly_separable_embeddings():
 def test_embed_all_normalization():
     backbone = build_backbone(32, 16, seed=1)
     images = np.random.default_rng(0).random(size=(4, 1, 32, 32))
-    manual = backbone.net.forward((images - 0.5) / 0.5)
+    manual = backbone.forward((images - 0.5) / 0.5)
     auto = _embed_all(backbone, images, normalize=(0.5, 0.5))
     assert np.array_equal(manual, auto)
     raw = _embed_all(backbone, images)

@@ -14,7 +14,6 @@ from sevcon.gradcon import (
     _recon_backward,
     decoder_weight_gradients,
     gradient_alignment,
-    normality_score,
     reconstruction_loss,
     reconstruction_loss_grad,
     severity_score,
@@ -140,7 +139,6 @@ def test_severity_score_value_and_purity():
     for m, mb in zip(ref.layer_means, ref_before):
         assert np.array_equal(m, mb)
     assert s1.value == pytest.approx(s1.l_recon - 0.03 * s1.l_grad, rel=1e-12)
-    assert normality_score(s1) == -s1.value
 
 
 def test_severity_score_requires_reference_and_single_image():

@@ -10,11 +10,9 @@ from sevcon.models import (
     build_backbone,
     build_classifier_head,
     build_projection_head,
-    embed,
     normalize_rows_backward,
-    project,
 )
-from sevcon.numerics import ShapeError
+from sevcon.numerics import ShapeError, params_checksum
 
 RNG = np.random.default_rng(3)
 
@@ -27,7 +25,7 @@ def test_builders_deterministic_in_seed():
     assert a1.checksum() != a3.checksum()
     b1 = build_backbone(32, 64, seed=5)
     b2 = build_backbone(32, 64, seed=5)
-    assert b1.checksum() == b2.checksum()
+    assert params_checksum(b1.param_dict()) == params_checksum(b2.param_dict())
 
 
 @pytest.mark.parametrize("side", [32, 64])
@@ -76,19 +74,19 @@ def test_load_param_dict_shape_error():
 def test_backbone_and_heads_shapes():
     bb = build_backbone(32, 64, seed=0)
     x = RNG.random(size=(3, 1, 32, 32))
-    r = embed(bb, x)
+    r = bb.forward(x)
     assert r.shape == (3, 64)
-    single = embed(bb, x[0])
-    assert single.shape == (64,)
-    assert np.allclose(single, r[0])
+    assert bb.layers[-1].n_out == 64
+    single = bb.forward(x[:1])
+    assert single.shape == (1, 64)
+    assert np.allclose(single[0], r[0])
 
     head = build_projection_head(64, 32, seed=1)
-    z = project(head, r)
-    assert z.shape == (3, 32)
-    assert np.allclose(np.linalg.norm(z, axis=1), 1.0)
+    assert head.forward(r).shape == (3, 32)
+    assert head.layers[-1].n_out == 32
 
     clf = build_classifier_head(64, 5, seed=2)
-    logits = clf.net.forward(r)
+    logits = clf.forward(r)
     assert logits.shape == (3, 5)
 
 

@@ -166,6 +166,21 @@ def test_sgd_validates_hyperparameters_and_shapes():
         sgd_step(state, {"p": np.zeros(3)}, {"p": np.zeros(4)})
 
 
+def test_sgd_rejects_non_finite_gradient_before_any_update():
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0]), "c": np.array([4.0, 5.0])}
+    state = SgdState(learning_rate=0.1, momentum=0.9)
+    sgd_step(state, params, {k: np.ones_like(v) for k, v in params.items()})
+    p_before = {k: v.copy() for k, v in params.items()}
+    v_before = {k: v.copy() for k, v in state.velocity.items()}
+    grads = {k: np.ones_like(v) for k, v in params.items()}
+    grads["c"] = np.array([0.5, np.nan])  # the last gradient visited
+    with pytest.raises(NumericalError, match="gradient c"):
+        sgd_step(state, params, grads)
+    for k in params:
+        assert params[k].tobytes() == p_before[k].tobytes()
+        assert state.velocity[k].tobytes() == v_before[k].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Scalar ops
 # ---------------------------------------------------------------------------
