@@ -73,16 +73,20 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _load_artifact(path: Path, produced_by: str) -> Checkpoint:
-    """Load a checkpoint that `sevcon <produced_by>` writes; a missing or
-    unreadable file is a missing artifact."""
-    _require(path, produced_by)
+def _read_artifact(path: Path, produced_by: str, read):
+    """`read(path)`, with an unreadable artifact raised as a missing one."""
     try:
-        return load_checkpoint(path)
+        return read(path)
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as e:
         raise MissingArtifactError(
             f"cannot read artifact {path} ({type(e).__name__}: {e}); "
             f"remove it and rerun `sevcon {produced_by}`") from None
+
+
+def _load_artifact(path: Path, produced_by: str) -> Checkpoint:
+    """Load a checkpoint that `sevcon <produced_by>` writes; a missing or
+    unreadable file is a missing artifact."""
+    return _read_artifact(_require(path, produced_by), produced_by, load_checkpoint)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list],
@@ -101,11 +105,22 @@ def _read_csv(path: Path) -> list[dict]:
     return list(csv.DictReader(lines))
 
 
-def _load_dataset(run_dir: Path, name: str, produced_by: str = "gen-data",
-                  with_ground_truth: bool = True) -> synthdata.Dataset:
+def _read_checked(path: Path, produced_by: str, sample_ids: list[str]) -> list[dict]:
+    """Rows of a per-sample CSV that `sevcon <produced_by>` writes; a file
+    that does not list `sample_ids` in order is a missing artifact."""
+    records = _read_csv(_require(path, produced_by))
+    if [r["sample_id"] for r in records] != sample_ids:
+        raise MissingArtifactError(
+            f"{path} does not match the corpus; rerun `sevcon {produced_by}`")
+    return records
+
+
+def _load_dataset(run_dir: Path, name: str) -> synthdata.Dataset:
+    """The one way stages read a data split; a split that is missing,
+    unreadable or of an older layout is a missing artifact."""
     directory = run_dir / "data" / name
-    _require(directory / "manifest.json", produced_by)
-    return synthdata.load_dataset(directory, with_ground_truth)
+    _require(directory / "manifest.json", "gen-data")
+    return _read_artifact(directory, "gen-data", synthdata.load_dataset)
 
 
 def _synth_config(cfg: ExperimentConfig) -> synthdata.SynthConfig:
@@ -282,16 +297,16 @@ def stage_score(run_dir: Path, cfg: ExperimentConfig, scorer: str, force: bool):
     print(f"score: wrote {len(rows)} {scorer} scores")
 
 
-def _load_scores(run_dir: Path, scorer: str) -> tuple[list[str], np.ndarray]:
-    path = _require(run_dir / "scores" / f"{scorer}.csv", f"score --scorer {scorer}")
-    records = _read_csv(path)
-    ids = [r["sample_id"] for r in records]
-    return ids, np.array([float(r["severity"]) for r in records])
+def _load_scores(run_dir: Path, scorer: str, sample_ids: list[str]) -> np.ndarray:
+    records = _read_checked(run_dir / "scores" / f"{scorer}.csv",
+                            f"score --scorer {scorer}", sample_ids)
+    return np.array([float(r["severity"]) for r in records])
 
 
 def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer: str,
                       force: bool):
-    ids, scores = _load_scores(run_dir, scorer)
+    ids = _load_dataset(run_dir, "unlabeled").sample_ids
+    scores = _load_scores(run_dir, scorer, ids)
     try:
         lab = labeling.assign_severity_labels(scores, n_bins)
     except ValueError as e:
@@ -307,14 +322,14 @@ def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer:
 
 
 def _load_labels(run_dir: Path, scorer: str, n_bins: int,
-                 sample_ids: list[str]) -> np.ndarray:
-    produced_by = f"make-labels --bins {n_bins} --scorer {scorer}"
-    path = _require(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv", produced_by)
-    records = _read_csv(path)
-    if [r["sample_id"] for r in records] != sample_ids:
-        raise MissingArtifactError(
-            f"label file {path} does not match the corpus; rerun `sevcon {produced_by}`")
-    return np.array([int(r["bin_label"]) for r in records], dtype=np.int64)
+                 sample_ids: list[str]) -> labeling.SeverityLabeling:
+    """The rank-and-bin labels `make-labels` wrote, checked against the corpus."""
+    records = _read_checked(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv",
+                            f"make-labels --bins {n_bins} --scorer {scorer}", sample_ids)
+    bins = np.array([int(r["bin_label"]) for r in records], dtype=np.int64)
+    scores = np.array([float(r["severity"]) for r in records])
+    return labeling.SeverityLabeling(n_bins, bins, np.argsort(scores, kind="stable"),
+                                     np.bincount(bins, minlength=n_bins))
 
 
 def _backbone_tag(mode: str, scorer: str, n_bins: int) -> str:
@@ -339,7 +354,7 @@ def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
     scfg = _supcon_config(cfg, cfg.derive_seed("pretrain-train"))
     policy = _policy(cfg)
     if mode == "severity":
-        pseudo = _load_labels(run_dir, scorer, n_bins, unlabeled.sample_ids)
+        pseudo = _load_labels(run_dir, scorer, n_bins, unlabeled.sample_ids).labels
         curve = contrastive.pretrain(backbone, head, unlabeled.images, pseudo,
                                      policy, scfg)
     elif mode == "simclr":
@@ -444,12 +459,7 @@ def stage_evaluate(run_dir: Path, cfg: ExperimentConfig, tag: str, force: bool):
 
 def stage_ablate(run_dir: Path, cfg: ExperimentConfig, n_bins: int, force: bool):
     unlabeled = _load_dataset(run_dir, "unlabeled").training_view()
-    scores_by_scorer = {}
-    for scorer in SCORERS:
-        ids, scores = _load_scores(run_dir, scorer)
-        if ids != unlabeled.sample_ids:
-            raise MissingArtifactError(f"score file for {scorer} does not match corpus")
-        scores_by_scorer[scorer] = scores
+    scores_by_scorer = {s: _load_scores(run_dir, s, unlabeled.sample_ids) for s in SCORERS}
     train = _load_dataset(run_dir, "labeled_train")
     ml = _load_dataset(run_dir, "test_multilabel")
     rows = baselines.ablation_run(
@@ -495,15 +505,10 @@ def stage_report(run_dir: Path, cfg: ExperimentConfig, force: bool):
 
     # Fig. 5 analog: contact sheet of extreme severity bins with ground truth.
     extremes = None
-    labels_path = run_dir / "labels" / f"severity_bins{cfg.labeling.n_bins}.csv"
-    if labels_path.exists():
+    n_bins = cfg.labeling.n_bins
+    if (run_dir / "labels" / f"severity_bins{n_bins}.csv").exists():
         unlabeled = _load_dataset(run_dir, "unlabeled")
-        records = _read_csv(labels_path)
-        bins = np.array([int(r["bin_label"]) for r in records])
-        scores = np.array([float(r["severity"]) for r in records])
-        lab = labeling.SeverityLabeling(
-            cfg.labeling.n_bins, bins, np.argsort(scores, kind="stable"),
-            np.bincount(bins, minlength=cfg.labeling.n_bins))
+        lab = _load_labels(run_dir, "severity", n_bins, unlabeled.sample_ids)
         k = min(cfg.labeling.extreme_report_k, int(lab.bin_sizes.min()))
         report = labeling.extreme_bin_report(lab, unlabeled.images, k,
                                              seed=cfg.derive_seed("report"))

@@ -160,9 +160,10 @@ def _convert(raw: str, typ, key: str):
 def load_config(path: Path) -> ExperimentConfig:
     """Parse an INI config; unknown sections or keys are rejected."""
     parser = configparser.ConfigParser()
-    text = Path(path).read_text()
     try:
-        parser.read_string(text)
+        parser.read_string(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from None
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}") from None
 

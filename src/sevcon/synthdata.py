@@ -5,6 +5,8 @@ for five biomarkers: fluid blob (bio_a), bright focus (bio_b), detachment
 line (bio_c), thickening (bio_d), epiretinal band (bio_e). Ground-truth
 severity is the total lesion count; the multi-hot biomarker vector marks
 which lesion types are present.
+
+On disk a split is one directory of three files; see `save_dataset`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import struct
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,8 +27,7 @@ LESION_TYPES = ("fluid_blob", "bright_focus", "detachment_line",
 BIOMARKER_NAMES = ("bio_a", "bio_b", "bio_c", "bio_d", "bio_e")
 N_BIOMARKERS = len(BIOMARKER_NAMES)
 
-_MAGIC = b"SIMG"
-_DTYPE_F64 = 1
+FORMAT_VERSION = 2  # of data/<split>/manifest.json
 
 
 @dataclass
@@ -259,51 +260,45 @@ def generate_labeled_splits(n_train: int, n_test_per_biomarker: int,
 # ---------------------------------------------------------------------------
 
 
-def write_image(path: Path, image: Array):
-    side = image.shape[-1]
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<IB", side, _DTYPE_F64))
-        f.write(np.ascontiguousarray(image[0], dtype="<f8").tobytes())
-
-
-def read_image(path: Path) -> Array:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        side, code = struct.unpack("<IB", f.read(5))
-        if code != _DTYPE_F64:
-            raise ValueError(f"{path}: unsupported dtype code {code}")
-        data = np.frombuffer(f.read(8 * side * side), dtype="<f8")
-    return data.reshape(1, side, side).astype(np.float64)
-
-
 def save_dataset(directory: Path, dataset: Dataset, meta: dict):
-    """manifest.json + one binary image per sample; ground truth, when
-    present, goes to labels.csv (a separate file from the manifest)."""
+    """Write ``images.npy`` ((N, 1, side, side) ``<f8`` in sample-id order),
+    ``labels.csv`` when there is ground truth, then ``manifest.json`` (format
+    version, sample ids, ``meta``). The old manifest goes first and the new one
+    is renamed into place last, so an interrupted write leaves no manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {"format_version": 1, "sample_ids": dataset.sample_ids, **meta}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    for sid, i in zip(dataset.sample_ids, range(len(dataset))):
-        write_image(directory / f"{sid}.bin", dataset.images[i])
+    manifest_path = directory / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
+    np.save(directory / "images.npy", np.asarray(dataset.images, dtype="<f8"))
     if dataset.ground_truth is not None:
         with open(directory / "labels.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["sample_id", *BIOMARKER_NAMES, "severity"])
             for sid, gt in zip(dataset.sample_ids, dataset.ground_truth):
                 writer.writerow([sid, *(int(b) for b in gt.biomarkers), gt.severity])
+    manifest = {"format_version": FORMAT_VERSION, "sample_ids": dataset.sample_ids, **meta}
+    tmp = directory / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    os.replace(tmp, manifest_path)
 
 
-def load_dataset(directory: Path, with_ground_truth: bool = True) -> Dataset:
+def load_dataset(directory: Path) -> Dataset:
+    """Read a split that `save_dataset` wrote. Another format version, or not
+    one float64 (1, side, side) image per sample id, is a ``ValueError``; a
+    missing or corrupt file raises its reader's OSError/EOFError/ValueError."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"{directory}: dataset format version "
+                         f"{manifest.get('format_version')}, expected {FORMAT_VERSION}")
     ids = manifest["sample_ids"]
-    images = np.stack([read_image(directory / f"{sid}.bin") for sid in ids])
+    images = np.load(directory / "images.npy")
+    if images.dtype != np.float64 or images.ndim != 4 or images.shape[:2] != (len(ids), 1):
+        raise ValueError(f"{directory}: images.npy holds {images.dtype} {images.shape}, "
+                         f"expected float64 ({len(ids)}, 1, side, side)")
     gts = None
     labels_path = directory / "labels.csv"
-    if with_ground_truth and labels_path.exists():
+    if labels_path.exists():
         rows = {}
         with open(labels_path, newline="") as f:
             for row in csv.DictReader(f):

@@ -139,6 +139,8 @@ def test_exit_codes(small_run, tmp_path):
     assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
     bad.write_text("[data]\nimage_side = 48\n")  # no architecture for this size
     assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    assert main(["--run-dir", str(fresh), "--config", str(tmp_path / "missing.ini"),
+                 "gen-data"]) == EXIT_CONFIG
 
     empty = tmp_path / "empty"
     cfg = tmp_path / "small.ini"
@@ -157,9 +159,25 @@ def test_exit_codes(small_run, tmp_path):
     labels = run / "labels" / "severity_bins8.csv"
     labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
     assert main(["--run-dir", str(run), "pretrain", "--bins", "8"]) == EXIT_MISSING
+    assert main(["--run-dir", str(run), "report"]) == EXIT_MISSING
     ckpt = run / "gradcon" / "autoencoder.npz"
     ckpt.write_bytes(ckpt.read_bytes()[:100])
     assert main(["--run-dir", str(run), "score"]) == EXIT_MISSING
+    scores = run / "scores" / "msp.csv"
+    scores.write_text("".join(scores.read_text().splitlines(keepends=True)[:-1]))
+    assert main(["--run-dir", str(run), "make-labels", "--bins", "8",
+                 "--scorer", "msp"]) == EXIT_MISSING
+    (run / "data" / "healthy" / "images.npy").unlink()
+    assert main(["--run-dir", str(run), "train-gradcon"]) == EXIT_MISSING
+    images = run / "data" / "labeled_train" / "images.npy"
+    images.write_bytes(images.read_bytes()[:100])
+    assert main(["--run-dir", str(run), "probe", "--task", "bio_a",
+                 "--tag", "simclr"]) == EXIT_MISSING
+    manifest = run / "data" / "unlabeled" / "manifest.json"
+    listing = json.loads(manifest.read_text())
+    listing["sample_ids"].append("unlabeled_99999")
+    manifest.write_text(json.dumps(listing))
+    assert main(["--run-dir", str(run), "pretrain", "--mode", "simclr"]) == EXIT_MISSING
 
 
 def test_config_hash_mismatch_is_config_error(small_run, tmp_path):

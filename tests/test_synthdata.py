@@ -14,10 +14,8 @@ from sevcon.synthdata import (
     generate_labeled_splits,
     generate_unlabeled,
     load_dataset,
-    read_image,
     render_sample,
     save_dataset,
-    write_image,
 )
 
 CFG = SynthConfig(seed=42)
@@ -112,17 +110,6 @@ def test_training_view_hides_ground_truth():
         view.multihot()
 
 
-def test_image_round_trip_bitwise(tmp_path):
-    ds = generate_unlabeled(2, 2, CFG)
-    path = tmp_path / "img.bin"
-    write_image(path, ds.images[0])
-    back = read_image(path)
-    assert np.array_equal(back, ds.images[0])
-    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
-    with pytest.raises(ValueError, match="bad magic"):
-        read_image(path)
-
-
 def test_dataset_round_trip(tmp_path):
     ds = generate_unlabeled(4, 3, CFG)
     save_dataset(tmp_path / "d", ds, {"config_hash": "abc", "seed": 42})
@@ -132,10 +119,19 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(back.multihot(), ds.multihot())
     assert np.array_equal(back.severities(), ds.severities())
     # ground truth lives in labels.csv, separate from the manifest
-    assert (tmp_path / "d" / "labels.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+        "images.npy", "labels.csv", "manifest.json"]
     assert "bio_a" not in (tmp_path / "d" / "manifest.json").read_text()
-    view_only = load_dataset(tmp_path / "d", with_ground_truth=False)
-    assert view_only.ground_truth is None
+    images = tmp_path / "d" / "images.npy"
+    images.write_bytes(b"XXXX" + images.read_bytes()[4:])
+    with pytest.raises(ValueError):
+        load_dataset(tmp_path / "d")
+    # a split of the older one-file-per-image layout is refused
+    save_dataset(tmp_path / "d", ds, {})
+    manifest = tmp_path / "d" / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"format_version": 2', '"format_version": 1'))
+    with pytest.raises(ValueError, match="format version 1"):
+        load_dataset(tmp_path / "d")
 
 
 def test_odd_binary_test_size_rejected():
