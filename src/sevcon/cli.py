@@ -500,24 +500,27 @@ def stage_report(run_dir: Path, cfg: ExperimentConfig, force: bool):
     if not rows:
         raise MissingArtifactError(
             "no probe results found; run `sevcon evaluate` for at least one tag")
-    _write_csv(out / "table1.csv",
-               ["method", *synthdata.BIOMARKER_NAMES, "multi_label"], rows, cfg)
-
     # Fig. 5 analog: contact sheet of extreme severity bins with ground truth.
-    extremes = None
+    # Built before any file is written, so a label file that fails its check
+    # leaves the previous report as it was.
+    extremes = sheet = None
     n_bins = cfg.labeling.n_bins
     if (run_dir / "labels" / f"severity_bins{n_bins}.csv").exists():
         unlabeled = _load_dataset(run_dir, "unlabeled")
         lab = _load_labels(run_dir, "severity", n_bins, unlabeled.sample_ids)
         k = min(cfg.labeling.extreme_report_k, int(lab.bin_sizes.min()))
-        report = labeling.extreme_bin_report(lab, unlabeled.images, k,
-                                             seed=cfg.derive_seed("report"))
-        labeling.write_pgm(out / "extreme_bins.pgm", report.pop("contact_sheet"))
+        extremes = labeling.extreme_bin_report(lab, unlabeled.images, k,
+                                               seed=cfg.derive_seed("report"))
+        sheet = extremes.pop("contact_sheet")
         gt = unlabeled.severities()
-        report["low_bin_mean_gt_severity"] = float(np.mean(gt[report["low_bin_ids"]]))
-        report["high_bin_mean_gt_severity"] = float(np.mean(gt[report["high_bin_ids"]]))
-        (out / "extremes.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-        extremes = report
+        extremes["low_bin_mean_gt_severity"] = float(np.mean(gt[extremes["low_bin_ids"]]))
+        extremes["high_bin_mean_gt_severity"] = float(np.mean(gt[extremes["high_bin_ids"]]))
+
+    _write_csv(out / "table1.csv",
+               ["method", *synthdata.BIOMARKER_NAMES, "multi_label"], rows, cfg)
+    if extremes is not None:
+        labeling.write_pgm(out / "extreme_bins.pgm", sheet)
+        (out / "extremes.json").write_text(json.dumps(extremes, indent=2, sort_keys=True))
 
     (out / "report.json").write_text(json.dumps({
         "config_hash": cfg.config_hash(),

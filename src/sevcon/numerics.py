@@ -86,8 +86,40 @@ class Dense(Layer):
         return dout @ self.params["w"].T
 
 
+def _pad(x: Array, p: int) -> Array:
+    """Zero-pad the two spatial axes of a (B, C, H, W) batch by p."""
+    if not p:
+        return x
+    B, C, H, W = x.shape
+    xp = np.zeros((B, C, H + 2 * p, W + 2 * p))
+    xp[:, :, p:p + H, p:p + W] = x
+    return xp
+
+
+def _columns(xp: Array, k: int, s: int, Ho: int, Wo: int) -> Array:
+    """Channel-first im2col of a padded (B, C, Hp, Wp) batch:
+    cols[b, (c, di, dj), (i, j)] = xp[b, c, s*i + di, s*j + dj], returned as
+    (B, C*k*k, Ho*Wo). Each of the k*k slice copies writes runs of Wo
+    contiguous values."""
+    B, C = xp.shape[:2]
+    cols = np.empty((B, C, k, k, Ho, Wo))
+    for di in range(k):
+        for dj in range(k):
+            cols[:, :, di, dj] = xp[:, :, di:di + s * Ho:s, dj:dj + s * Wo:s]
+    return cols.reshape(B, C * k * k, Ho * Wo)
+
+
 class Conv2d(Layer):
-    """k x k convolution; stride 1 is plain, stride 2 is the downsampler."""
+    """k x k convolution; stride 1 is plain, stride 2 is the downsampler.
+
+    im2col + GEMM in NCHW. The columns of image b are laid out channel-first
+    as a (C_in*k*k, Ho*Wo) matrix, so one batched matmul with the
+    (C_out, C_in*k*k) weight matrix gives the (B, C_out, Ho*Wo) output with
+    no transpose. Backward: dW = sum_b dout_b cols_b^T. At stride 1 the input
+    gradient is a forward correlation of dout, zero-padded by k-1-p, with the
+    flipped, channel-swapped weights w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+    through the same column builder; at stride 2 it is a k*k strided
+    scatter-add of W^T dout."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator,
                  kernel: int = 3, stride: int = 1, pad: int = 1):
@@ -105,36 +137,36 @@ class Conv2d(Layer):
         if x.ndim != 4 or x.shape[1] != self.c_in:
             self._fail_shape(x.shape, f"(B, {self.c_in}, H, W)")
         k, s, p = self.kernel, self.stride, self.pad
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        B, _, Hp, Wp = xp.shape
-        Ho = (Hp - k) // s + 1
-        Wo = (Wp - k) // s + 1
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        win = win[:, :, ::s, ::s]
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-        cols = cols.reshape(B * Ho * Wo, self.c_in * k * k)
-        wmat = self.params["w"].reshape(self.c_out, -1)
-        out = cols @ wmat.T + self.params["b"]
-        self._cache = (cols, (B, Hp, Wp), Ho, Wo)
-        return out.reshape(B, Ho, Wo, self.c_out).transpose(0, 3, 1, 2)
+        B, _, H, W = x.shape
+        Ho = (H + 2 * p - k) // s + 1
+        Wo = (W + 2 * p - k) // s + 1
+        cols = _columns(_pad(x, p), k, s, Ho, Wo)
+        out = np.matmul(self.params["w"].reshape(self.c_out, -1), cols)
+        out += self.params["b"][:, None]
+        # kept 2-D, (B*C_in*k*k, Ho*Wo), by a free reshape: perfbench sizes its
+        # conv GFLOP counter from this array's two dimensions
+        self._cache = (cols.reshape(-1, Ho * Wo), x.shape, Ho, Wo)
+        return out.reshape(B, self.c_out, Ho, Wo)
 
     def backward(self, dout):
         self._require_cache()
-        cols, (B, Hp, Wp), Ho, Wo = self._cache
+        cols, (B, _, H, W), Ho, Wo = self._cache
         k, s, p = self.kernel, self.stride, self.pad
         w = self.params["w"]
-        dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, self.c_out)
-        self.grads["w"] = (dmat.T @ cols).reshape(w.shape)
-        self.grads["b"] = dmat.sum(axis=0)
-        dcols = dmat @ w.reshape(self.c_out, -1)
-        dwin = dcols.reshape(B, Ho, Wo, self.c_in, k, k).transpose(0, 3, 1, 2, 4, 5)
-        dxp = np.zeros((B, self.c_in, Hp, Wp))
+        cols = cols.reshape(B, -1, Ho * Wo)
+        dmat = dout.reshape(B, self.c_out, Ho * Wo)
+        self.grads["w"] = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        self.grads["b"] = dmat.sum(axis=(0, 2))
+        if s == 1:
+            wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(self.c_in, -1)
+            dcols = _columns(_pad(dout, k - 1 - p), k, 1, H, W)
+            return np.matmul(wflip, dcols).reshape(B, self.c_in, H, W)
+        dcols = np.matmul(w.reshape(self.c_out, -1).T, dmat).reshape(B, self.c_in, k, k, Ho, Wo)
+        dxp = np.zeros((B, self.c_in, H + 2 * p, W + 2 * p))
         for di in range(k):
             for dj in range(k):
-                dxp[:, :, di:di + s * Ho:s, dj:dj + s * Wo:s] += dwin[..., di, dj]
-        if p:
-            dxp = dxp[:, :, p:-p, p:-p]
-        return dxp
+                dxp[:, :, di:di + s * Ho:s, dj:dj + s * Wo:s] += dcols[:, :, di, dj]
+        return dxp[:, :, p:p + H, p:p + W]
 
 
 class NearestUpsample(Layer):
@@ -156,9 +188,15 @@ class NearestUpsample(Layer):
 
     def backward(self, dout):
         self._require_cache()
-        B, C, H, W = self._cache
         f = self.factor
-        return dout.reshape(B, C, H, f, W, f).sum(axis=(3, 5))
+        # each f x f block sum, as strided slices: across columns, then rows
+        dcols = dout[:, :, :, 0::f]
+        for j in range(1, f):
+            dcols = dcols + dout[:, :, :, j::f]
+        dx = dcols[:, :, 0::f]
+        for i in range(1, f):
+            dx = dx + dcols[:, :, i::f]
+        return dx
 
 
 class Relu(Layer):

@@ -263,12 +263,15 @@ def generate_labeled_splits(n_train: int, n_test_per_biomarker: int,
 def save_dataset(directory: Path, dataset: Dataset, meta: dict):
     """Write ``images.npy`` ((N, 1, side, side) ``<f8`` in sample-id order),
     ``labels.csv`` when there is ground truth, then ``manifest.json`` (format
-    version, sample ids, ``meta``). The old manifest goes first and the new one
-    is renamed into place last, so an interrupted write leaves no manifest."""
+    version, sample ids, ``meta``). The old manifest and any per-image ``.bin``
+    files of the format-1 layout go first, and the new manifest is renamed into
+    place last, so an interrupted write leaves no manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
     manifest_path.unlink(missing_ok=True)
+    for stale in directory.glob("*.bin"):  # per-image files of the format-1 layout
+        stale.unlink()
     np.save(directory / "images.npy", np.asarray(dataset.images, dtype="<f8"))
     if dataset.ground_truth is not None:
         with open(directory / "labels.csv", "w", newline="") as f:

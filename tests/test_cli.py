@@ -159,7 +159,11 @@ def test_exit_codes(small_run, tmp_path):
     labels = run / "labels" / "severity_bins8.csv"
     labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
     assert main(["--run-dir", str(run), "pretrain", "--bins", "8"]) == EXIT_MISSING
+    table = run / "report" / "table1.csv"
+    earlier = table.read_bytes() + b"# from an earlier report\n"
+    table.write_bytes(earlier)
     assert main(["--run-dir", str(run), "report"]) == EXIT_MISSING
+    assert table.read_bytes() == earlier  # the label check comes before any write
     ckpt = run / "gradcon" / "autoencoder.npz"
     ckpt.write_bytes(ckpt.read_bytes()[:100])
     assert main(["--run-dir", str(run), "score"]) == EXIT_MISSING

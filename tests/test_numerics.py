@@ -122,20 +122,64 @@ def test_shape_errors():
         Reshape((2, 2)).forward(np.zeros((1, 5)))
 
 
+def direct_conv(x, w, b, stride, pad, dout):
+    """Nested-loop convolution: output, and dW, db, dX for upstream dout."""
+    B, C, H, W = x.shape
+    c_out, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (H + 2 * pad - k) // stride + 1
+    wo = (W + 2 * pad - k) // stride + 1
+    out = np.zeros((B, c_out, ho, wo))
+    dw, db, dxp = np.zeros_like(w), np.zeros_like(b), np.zeros_like(xp)
+    for n in range(B):
+        for co in range(c_out):
+            for i in range(ho):
+                for j in range(wo):
+                    rows = slice(stride * i, stride * i + k)
+                    cols = slice(stride * j, stride * j + k)
+                    out[n, co, i, j] = (xp[n, :, rows, cols] * w[co]).sum() + b[co]
+                    g = dout[n, co, i, j]
+                    dw[co] += g * xp[n, :, rows, cols]
+                    db[co] += g
+                    dxp[n, :, rows, cols] += g * w[co]
+    return out, dw, db, dxp[:, :, pad:pad + H, pad:pad + W]
+
+
 def test_conv_matches_direct_convolution():
-    """Oracle: naive nested-loop convolution."""
-    layer = Conv2d(2, 3, RNG, stride=2)
-    x = RNG.normal(size=(1, 2, 6, 6))
-    out = layer.forward(x)
-    w, b = layer.params["w"], layer.params["b"]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    ref = np.zeros_like(out)
-    for co in range(3):
-        for i in range(out.shape[2]):
-            for j in range(out.shape[3]):
-                patch = xp[0, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
-                ref[0, co, i, j] = (patch * w[co]).sum() + b[co]
-    assert np.allclose(out, ref, atol=1e-12)
+    """Oracle: forward, dW, db and dX against nested loops, batch 3."""
+    cases = [
+        (1, 4, 1, 8),   # the autoencoder's first conv has one input channel
+        (3, 1, 1, 8),   # ... and its last conv one output channel
+        (2, 3, 1, 5),
+        (1, 3, 2, 8),
+        (3, 1, 2, 6),
+        (2, 3, 2, 7),   # odd side at stride 2: the last input row feeds no output
+    ]
+    for c_in, c_out, stride, side in cases:
+        layer = Conv2d(c_in, c_out, RNG, stride=stride)
+        layer.params["b"] = RNG.normal(size=c_out)
+        x = RNG.normal(size=(3, c_in, side, side))
+        out = layer.forward(x)
+        dout = RNG.normal(size=out.shape)
+        dx = layer.backward(dout)
+        ref = direct_conv(x, layer.params["w"], layer.params["b"], stride, 1, dout)
+        got = (out, layer.grads["w"], layer.grads["b"], dx)
+        for what, a, r in zip(("forward", "dW", "db", "dX"), got, ref):
+            case = f"{what} at c_in={c_in} c_out={c_out} stride={stride} side={side}"
+            assert a.shape == r.shape, case
+            assert rel_err(a, r) <= 1e-12, f"{case}: rel err {rel_err(a, r)}"
+
+
+def test_upsample_backward_matches_block_sums():
+    """Oracle: each input pixel's gradient is the sum of its f x f block."""
+    layer = NearestUpsample(2)
+    layer.forward(RNG.normal(size=(3, 2, 5, 4)))
+    dout = RNG.normal(size=(3, 2, 10, 8))
+    ref = np.zeros((3, 2, 5, 4))
+    for i in range(5):
+        for j in range(4):
+            ref[:, :, i, j] = dout[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2].sum(axis=(2, 3))
+    assert rel_err(layer.backward(dout), ref) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

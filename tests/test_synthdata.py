@@ -112,13 +112,15 @@ def test_training_view_hides_ground_truth():
 
 def test_dataset_round_trip(tmp_path):
     ds = generate_unlabeled(4, 3, CFG)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "x.bin").write_bytes(b"SIMG")  # a file of the per-image layout
     save_dataset(tmp_path / "d", ds, {"config_hash": "abc", "seed": 42})
     back = load_dataset(tmp_path / "d")
     assert back.sample_ids == ds.sample_ids
     assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.multihot(), ds.multihot())
     assert np.array_equal(back.severities(), ds.severities())
-    # ground truth lives in labels.csv, separate from the manifest
+    # ground truth lives in labels.csv, separate from the manifest; no .bin is left
     assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
         "images.npy", "labels.csv", "manifest.json"]
     assert "bio_a" not in (tmp_path / "d" / "manifest.json").read_text()
