@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrastive import AugmentationPolicy, SupConConfig, pretrain
-from .evalprobe import ProbeConfig, evaluate, train_probe
+from .config import BaselinesSection, ContrastiveSection, ProbeSection
+from .contrastive import pretrain
+from .evalprobe import evaluate, train_probe
 from .labeling import assign_severity_labels
 from .models import build_backbone, build_classifier_head, build_projection_head
 from .numerics import (
@@ -27,15 +28,6 @@ from .numerics import (
     softmax,
     softmax_ce_with_logits,
 )
-
-
-@dataclass
-class ClassifierConfig:
-    epochs: int = 15
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-    seed: int = 0
 
 
 @dataclass
@@ -54,24 +46,25 @@ class GaussianClassStats:
     epsilon: float
 
 
-def train_supervised_classifier(images: Array, multihot: Array, embedding_dim: int,
-                                config: ClassifierConfig) -> SupervisedClassifier:
+def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSection,
+                                b: BaselinesSection, seed: int) -> SupervisedClassifier:
     """Backbone + multi-label head trained jointly with per-label BCE, then a
-    frozen-feature auxiliary softmax head over the observed label combos."""
+    frozen-feature auxiliary softmax head over the observed label combos.
+    The backbone is ``c.embedding_dim`` wide, as a pretrained one is."""
     images = as_f64(images)
     y = as_f64(multihot)
     n, n_labels = y.shape
-    backbone = build_backbone(images.shape[-1], embedding_dim, config.seed)
-    head = build_classifier_head(embedding_dim, n_labels, config.seed + 1)
+    backbone = build_backbone(images.shape[-1], c.embedding_dim, seed)
+    head = build_classifier_head(c.embedding_dim, n_labels, seed + 1)
     net = Network(backbone.layers + head.layers)
 
-    opt = SgdState(config.learning_rate, config.momentum)
+    opt = SgdState(b.classifier_learning_rate, b.classifier_momentum)
     params = net.param_dict()
-    shuffle = np.random.default_rng(config.seed + 2)
-    for _ in range(config.epochs):
+    shuffle = np.random.default_rng(seed + 2)
+    for _ in range(b.classifier_epochs):
         order = shuffle.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, n, b.classifier_batch_size):
+            idx = order[start:start + b.classifier_batch_size]
             logits = net.forward(images[idx])
             loss, dlogits = bce_with_logits(logits, y[idx])
             if not np.isfinite(loss):
@@ -80,16 +73,15 @@ def train_supervised_classifier(images: Array, multihot: Array, embedding_dim: i
             sgd_step(opt, params, net.grad_dict())
 
     combo_classes, combo_idx = np.unique(y.astype(np.int64), axis=0, return_inverse=True)
-    combo_head = build_classifier_head(embedding_dim, combo_classes.shape[0],
-                                       config.seed + 3)
+    combo_head = build_classifier_head(c.embedding_dim, combo_classes.shape[0], seed + 3)
     feats = backbone.forward(images)
     c_params = combo_head.param_dict()
-    c_opt = SgdState(config.learning_rate, config.momentum)
-    c_shuffle = np.random.default_rng(config.seed + 4)
-    for _ in range(config.epochs):
+    c_opt = SgdState(b.classifier_learning_rate, b.classifier_momentum)
+    c_shuffle = np.random.default_rng(seed + 4)
+    for _ in range(b.classifier_epochs):
         order = c_shuffle.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, n, b.classifier_batch_size):
+            idx = order[start:start + b.classifier_batch_size]
             logits = combo_head.forward(feats[idx])
             loss, dlogits = softmax_ce_with_logits(logits, combo_idx[idx])
             combo_head.backward(dlogits)
@@ -164,23 +156,22 @@ def mahalanobis_score(stats: GaussianClassStats, feature: Array) -> float:
 
 
 def score_corpus(clf: SupervisedClassifier, images: Array, scorer: str,
-                 odin_T: float = 1000.0, odin_eps: float = 0.0014,
-                 mahalanobis_eps: float = 1e-3,
-                 train_images: Array | None = None,
+                 b: BaselinesSection, train_images: Array | None = None,
                  train_multihot: Array | None = None) -> Array:
     """Anomaly scores for a whole corpus with the named baseline scorer."""
     n = images.shape[0]
     if scorer == "msp":
         return np.array([msp_score(clf, images[i]) for i in range(n)])
     if scorer == "odin":
-        return np.array([odin_score(clf, images[i], odin_T, odin_eps) for i in range(n)])
+        return np.array([odin_score(clf, images[i], b.odin_temperature, b.odin_epsilon)
+                         for i in range(n)])
     if scorer == "mahalanobis":
         if train_images is None or train_multihot is None:
             raise ValueError("mahalanobis needs the labeled training data")
         feats = clf.backbone.forward(as_f64(train_images))
         _, combo_idx = np.unique(as_f64(train_multihot).astype(np.int64),
                                  axis=0, return_inverse=True)
-        stats = fit_gaussian_stats(feats, combo_idx, mahalanobis_eps)
+        stats = fit_gaussian_stats(feats, combo_idx, b.mahalanobis_epsilon)
         corpus_feats = clf.backbone.forward(as_f64(images))
         return np.array([mahalanobis_score(stats, corpus_feats[i]) for i in range(n)])
     raise ValueError(f"unknown scorer {scorer!r}")
@@ -189,24 +180,19 @@ def score_corpus(clf: SupervisedClassifier, images: Array, scorer: str,
 def ablation_run(scores_by_scorer: dict[str, Array], corpus_images: Array,
                  labeled_train: tuple[Array, Array],
                  multilabel_test: tuple[Array, Array], n_bins: int,
-                 policy: AugmentationPolicy, pretrain_cfg: SupConConfig,
-                 probe_cfg: ProbeConfig, embedding_dim: int, projection_dim: int,
-                 seed: int) -> list[dict]:
+                 c: ContrastiveSection, p: ProbeSection, seed: int) -> list[dict]:
     """One labeled-corpus -> pretrain -> probe -> mean-AUC row per scorer,
     all scorers sharing seeds, splits, and training config."""
     train_x, train_y = labeled_train
+    norm = (c.normalize_mean, c.normalize_std)
     rows = []
     for scorer in scores_by_scorer:
         labeling = assign_severity_labels(scores_by_scorer[scorer], n_bins)
-        backbone = build_backbone(corpus_images.shape[-1], embedding_dim, seed)
-        head = build_projection_head(embedding_dim, projection_dim, seed + 1)
-        cfg = SupConConfig(**{**pretrain_cfg.__dict__, "seed": seed})
-        pretrain(backbone, head, corpus_images, labeling.labels, policy, cfg)
-        ml_head = build_classifier_head(embedding_dim, train_y.shape[1], seed + 2)
-        norm = (policy.normalize_mean, policy.normalize_std)
-        train_probe(backbone, ml_head, train_x, train_y,
-                    ProbeConfig(**{**probe_cfg.__dict__, "seed": seed}),
-                    normalize=norm)
+        backbone = build_backbone(corpus_images.shape[-1], c.embedding_dim, seed)
+        head = build_projection_head(c.embedding_dim, c.projection_dim, seed + 1)
+        pretrain(backbone, head, corpus_images, labeling.labels, c, seed)
+        ml_head = build_classifier_head(c.embedding_dim, train_y.shape[1], seed + 2)
+        train_probe(backbone, ml_head, train_x, train_y, p, seed, normalize=norm)
         result = evaluate(backbone, {}, {}, ml_head, multilabel_test, normalize=norm)
         rows.append({"scorer": scorer, "n_bins": n_bins, "mean_auc": result.mean_auc})
     return rows

@@ -1,11 +1,15 @@
 """Checkpoint persistence: npz payload with a JSON metadata record.
 
 Round-trips are bitwise exact: parameter arrays are stored raw as float64.
+`atomic_open` is the write-then-rename step that checkpoints, the CLI's CSVs
+and dataset manifests go through.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,6 +18,23 @@ import numpy as np
 from .numerics import Array
 
 FORMAT_VERSION = 1
+
+
+@contextmanager
+def atomic_open(path: Path, mode: str = "w", **kwargs):
+    """Open ``<path>.tmp`` for writing and rename it over `path` once the
+    block completes. If the block raises, the temporary file is deleted and
+    `path` keeps its previous contents, so an interrupted write never leaves a
+    cut-short file that still parses."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -39,7 +60,7 @@ def save_checkpoint(path: Path, ckpt: Checkpoint):
     }
     arrays = {f"param:{k}": np.asarray(v, dtype=np.float64) for k, v in ckpt.params.items()}
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         np.savez(f, **arrays)
 
 

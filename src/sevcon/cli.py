@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, contrastive, evalprobe, gradcon, labeling, models, synthdata
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, load_config
 from .numerics import NumericalError
 
@@ -77,7 +77,7 @@ def _read_artifact(path: Path, produced_by: str, read):
     """`read(path)`, with an unreadable artifact raised as a missing one."""
     try:
         return read(path)
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as e:
+    except (OSError, EOFError, KeyError, ValueError, csv.Error, zipfile.BadZipFile) as e:
         raise MissingArtifactError(
             f"cannot read artifact {path} ({type(e).__name__}: {e}); "
             f"remove it and rerun `sevcon {produced_by}`") from None
@@ -91,7 +91,7 @@ def _load_artifact(path: Path, produced_by: str) -> Checkpoint:
 
 def _write_csv(path: Path, header: list[str], rows: list[list],
                cfg: ExperimentConfig):
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         f.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
         writer = csv.writer(f)
         writer.writerow(header)
@@ -100,19 +100,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list],
 
 
 def _read_csv(path: Path) -> list[dict]:
+    """Rows as dicts; a field missing from a row cut short reads as ``""``."""
     with open(path, newline="") as f:
         lines = [ln for ln in f if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+    return list(csv.DictReader(lines, restval=""))
 
 
-def _read_checked(path: Path, produced_by: str, sample_ids: list[str]) -> list[dict]:
-    """Rows of a per-sample CSV that `sevcon <produced_by>` writes; a file
-    that does not list `sample_ids` in order is a missing artifact."""
-    records = _read_csv(_require(path, produced_by))
-    if [r["sample_id"] for r in records] != sample_ids:
-        raise MissingArtifactError(
-            f"{path} does not match the corpus; rerun `sevcon {produced_by}`")
-    return records
+def _read_checked(path: Path, produced_by: str, sample_ids: list[str],
+                  columns: dict[str, type]) -> dict[str, np.ndarray]:
+    """Each of `columns` of a per-sample CSV that `sevcon <produced_by>`
+    writes, parsed by its type; a file that does not list `sample_ids` in
+    order, or holds a value that does not parse, is a missing artifact."""
+    def read(p: Path) -> dict[str, np.ndarray]:
+        records = _read_csv(p)
+        if [r["sample_id"] for r in records] != sample_ids:
+            raise ValueError("the sample ids do not match the corpus")
+        return {name: np.array([typ(r[name]) for r in records])
+                for name, typ in columns.items()}
+    return _read_artifact(_require(path, produced_by), produced_by, read)
 
 
 def _load_dataset(run_dir: Path, name: str) -> synthdata.Dataset:
@@ -123,54 +128,21 @@ def _load_dataset(run_dir: Path, name: str) -> synthdata.Dataset:
     return _read_artifact(directory, "gen-data", synthdata.load_dataset)
 
 
-def _synth_config(cfg: ExperimentConfig) -> synthdata.SynthConfig:
-    d = cfg.data
-    return synthdata.SynthConfig(d.image_side, d.n_stripes, d.stripe_contrast,
-                                 d.noise_std, cfg.seed)
-
-
-def _policy(cfg: ExperimentConfig) -> contrastive.AugmentationPolicy:
-    c = cfg.contrastive
-    return contrastive.AugmentationPolicy(
-        crop_scale=(c.crop_scale_min, c.crop_scale_max),
-        flip_prob=c.flip_prob,
-        brightness_jitter=c.brightness_jitter,
-        contrast_jitter=c.contrast_jitter,
-        normalize_mean=c.normalize_mean,
-        normalize_std=c.normalize_std,
-    )
-
-
-def _supcon_config(cfg: ExperimentConfig, seed: int) -> contrastive.SupConConfig:
-    c = cfg.contrastive
-    return contrastive.SupConConfig(c.tau, c.batch_size, c.epochs, c.learning_rate,
-                                    c.momentum, c.balanced_sampler, seed)
-
-
-def _probe_config(cfg: ExperimentConfig, seed: int) -> evalprobe.ProbeConfig:
-    p = cfg.probe
-    return evalprobe.ProbeConfig(p.epochs, p.batch_size, p.learning_rate,
-                                 p.momentum, seed)
-
-
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
 
 def stage_gen_data(run_dir: Path, cfg: ExperimentConfig, force: bool):
-    sc = _synth_config(cfg)
     d = cfg.data
     meta = {"config_hash": cfg.config_hash(), "seed": cfg.seed}
-    healthy = synthdata.generate_healthy(d.n_healthy, sc)
+    healthy = synthdata.generate_healthy(d, cfg.seed)
     synthdata.save_dataset(run_dir / "data" / "healthy", healthy,
                            {**meta, "split": "healthy"})
-    unlabeled = synthdata.generate_unlabeled(d.n_unlabeled, d.severity_max, sc)
+    unlabeled = synthdata.generate_unlabeled(d, cfg.seed)
     synthdata.save_dataset(run_dir / "data" / "unlabeled", unlabeled,
                            {**meta, "split": "unlabeled"})
-    splits = synthdata.generate_labeled_splits(
-        d.n_labeled_train, d.n_test_per_biomarker, sc,
-        severity_max=d.severity_max, n_multilabel_test=d.n_multilabel_test)
+    splits = synthdata.generate_labeled_splits(d, cfg.seed)
     synthdata.save_dataset(run_dir / "data" / "labeled_train", splits.train,
                            {**meta, "split": "labeled_train"})
     for name, ds in splits.binary_tests.items():
@@ -190,25 +162,20 @@ def stage_train_gradcon(run_dir: Path, cfg: ExperimentConfig, force: bool):
     held_imgs = healthy.images[len(healthy) - n_held:]
     model = models.build_autoencoder(cfg.data.image_side, g.latent_dim,
                                      cfg.derive_seed("gradcon-model"))
-    gcfg = gradcon.GradconConfig(
-        alpha=g.alpha, epochs=g.epochs, batch_size=g.batch_size,
-        learning_rate=g.learning_rate, momentum=g.momentum,
-        warmup_learning_rate=g.warmup_learning_rate,
-        constraint_in_update=g.constraint_in_update,
-        seed=cfg.derive_seed("gradcon-train"))
-    model, ref, log = gradcon.train_gradcon(train_imgs, gcfg, model, heldout=held_imgs)
+    seed = cfg.derive_seed("gradcon-train")
+    model, ref, log = gradcon.train_gradcon(train_imgs, g, model, seed, heldout=held_imgs)
 
     out = run_dir / "gradcon"
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "autoencoder.npz", Checkpoint(
         "autoencoder", model.param_dict(), epoch=g.epochs,
-        config_hash=cfg.config_hash(), seed=cfg.derive_seed("gradcon-train"),
+        config_hash=cfg.config_hash(), seed=seed,
         extra={"image_side": cfg.data.image_side, "latent_dim": g.latent_dim,
                "model_seed": cfg.derive_seed("gradcon-model")}))
     save_checkpoint(out / "reference.npz", Checkpoint(
         "reference-gradients",
         {f"layer{i}": m for i, m in enumerate(ref.layer_means)},
-        config_hash=cfg.config_hash(), seed=cfg.derive_seed("gradcon-train"),
+        config_hash=cfg.config_hash(), seed=seed,
         extra={"count": ref.count}))
     _write_csv(out / "training_log.csv",
                ["epoch", "mean_recon", "mean_alignment", "heldout_alignment"],
@@ -239,7 +206,6 @@ def _classifier_parts(clf: baselines.SupervisedClassifier) -> dict:
 def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool):
     path = run_dir / "baselines" / "classifier.npz"
     train = _load_dataset(run_dir, "labeled_train")
-    b = cfg.baselines
     if path.exists():
         ckpt = _load_artifact(path, "score --scorer msp")
         _check_hash(ckpt.config_hash, cfg, "supervised classifier", force)
@@ -254,11 +220,9 @@ def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool)
             net.load_param_dict({k[len(prefix) + 1:]: v for k, v in ckpt.params.items()
                                  if k.startswith(prefix + ".")})
         return clf, train
-    ccfg = baselines.ClassifierConfig(b.classifier_epochs, b.classifier_batch_size,
-                                      b.classifier_learning_rate, b.classifier_momentum,
-                                      cfg.derive_seed("classifier"))
     clf = baselines.train_supervised_classifier(train.images, train.multihot(),
-                                                cfg.contrastive.embedding_dim, ccfg)
+                                                cfg.contrastive, cfg.baselines,
+                                                cfg.derive_seed("classifier"))
     path.parent.mkdir(parents=True, exist_ok=True)
     params = {f"{prefix}.{k}": v for prefix, net in _classifier_parts(clf).items()
               for k, v in net.named_params()}
@@ -278,10 +242,8 @@ def _score_corpus(run_dir: Path, cfg: ExperimentConfig, scorer: str, force: bool
                 for sid, s in zip(unlabeled.sample_ids, scores)]
         return unlabeled, rows
     clf, train = _train_or_load_classifier(run_dir, cfg, force)
-    b = cfg.baselines
     values = baselines.score_corpus(
-        clf, unlabeled.images, scorer, odin_T=b.odin_temperature,
-        odin_eps=b.odin_epsilon, mahalanobis_eps=b.mahalanobis_epsilon,
+        clf, unlabeled.images, scorer, cfg.baselines,
         train_images=train.images, train_multihot=train.multihot())
     rows = [[sid, float("nan"), float("nan"), float(v)]
             for sid, v in zip(unlabeled.sample_ids, values)]
@@ -298,19 +260,24 @@ def stage_score(run_dir: Path, cfg: ExperimentConfig, scorer: str, force: bool):
 
 
 def _load_scores(run_dir: Path, scorer: str, sample_ids: list[str]) -> np.ndarray:
-    records = _read_checked(run_dir / "scores" / f"{scorer}.csv",
-                            f"score --scorer {scorer}", sample_ids)
-    return np.array([float(r["severity"]) for r in records])
+    cols = _read_checked(run_dir / "scores" / f"{scorer}.csv",
+                         f"score --scorer {scorer}", sample_ids, {"severity": float})
+    return cols["severity"]
+
+
+def _severity_labels(scores: np.ndarray, n_bins: int) -> labeling.SeverityLabeling:
+    """Rank-and-bin labels; a bin count the scores cannot fill is a config error."""
+    try:
+        return labeling.assign_severity_labels(scores, n_bins)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer: str,
                       force: bool):
     ids = _load_dataset(run_dir, "unlabeled").sample_ids
     scores = _load_scores(run_dir, scorer, ids)
-    try:
-        lab = labeling.assign_severity_labels(scores, n_bins)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    lab = _severity_labels(scores, n_bins)
     out = run_dir / "labels"
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / f"{scorer}_bins{n_bins}.csv",
@@ -324,10 +291,10 @@ def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer:
 def _load_labels(run_dir: Path, scorer: str, n_bins: int,
                  sample_ids: list[str]) -> labeling.SeverityLabeling:
     """The rank-and-bin labels `make-labels` wrote, checked against the corpus."""
-    records = _read_checked(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv",
-                            f"make-labels --bins {n_bins} --scorer {scorer}", sample_ids)
-    bins = np.array([int(r["bin_label"]) for r in records], dtype=np.int64)
-    scores = np.array([float(r["severity"]) for r in records])
+    cols = _read_checked(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv",
+                         f"make-labels --bins {n_bins} --scorer {scorer}", sample_ids,
+                         {"bin_label": int, "severity": float})
+    bins, scores = cols["bin_label"], cols["severity"]
     return labeling.SeverityLabeling(n_bins, bins, np.argsort(scores, kind="stable"),
                                      np.bincount(bins, minlength=n_bins))
 
@@ -351,14 +318,12 @@ def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
                                         cfg.derive_seed("pretrain-head"))
     # the training seed is shared across modes so that severity, simclr, and
     # random runs are a paired comparison: same init, batches, augmentations
-    scfg = _supcon_config(cfg, cfg.derive_seed("pretrain-train"))
-    policy = _policy(cfg)
+    seed = cfg.derive_seed("pretrain-train")
     if mode == "severity":
         pseudo = _load_labels(run_dir, scorer, n_bins, unlabeled.sample_ids).labels
-        curve = contrastive.pretrain(backbone, head, unlabeled.images, pseudo,
-                                     policy, scfg)
+        curve = contrastive.pretrain(backbone, head, unlabeled.images, pseudo, c, seed)
     elif mode == "simclr":
-        curve = contrastive.simclr_mode(backbone, head, unlabeled.images, policy, scfg)
+        curve = contrastive.simclr_mode(backbone, head, unlabeled.images, c, seed)
     elif mode == "random":
         curve = []  # frozen random-init baseline: no training
     else:
@@ -369,7 +334,7 @@ def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
     save_checkpoint(out / f"backbone_{tag}.npz", Checkpoint(
         "backbone", backbone.param_dict(),
         epoch=len(curve), config_hash=cfg.config_hash(),
-        seed=cfg.derive_seed("pretrain-train"),
+        seed=seed,
         extra={"image_side": cfg.data.image_side, "embedding_dim": c.embedding_dim,
                "model_seed": cfg.derive_seed("pretrain-backbone"), "tag": tag}))
     _write_csv(out / f"loss_{tag}.csv", ["epoch", "mean_loss"],
@@ -402,14 +367,14 @@ def stage_probe(run_dir: Path, cfg: ExperimentConfig, task: str, tag: str, force
     embedding_dim = backbone.layers[-1].n_out
     head = models.build_classifier_head(embedding_dim, out_dim,
                                         cfg.derive_seed(f"probe-head-{task}"))
-    pcfg = _probe_config(cfg, cfg.derive_seed(f"probe-train-{task}"))
+    seed = cfg.derive_seed(f"probe-train-{task}")
     norm = (cfg.contrastive.normalize_mean, cfg.contrastive.normalize_std)
-    evalprobe.train_probe(backbone, head, train.images, y, pcfg, normalize=norm)
+    evalprobe.train_probe(backbone, head, train.images, y, cfg.probe, seed, normalize=norm)
     out = run_dir / "probe"
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / f"head_{tag}_{task}.npz", Checkpoint(
-        "classifier-head", head.param_dict(), epoch=pcfg.epochs,
-        config_hash=cfg.config_hash(), seed=pcfg.seed,
+        "classifier-head", head.param_dict(), epoch=cfg.probe.epochs,
+        config_hash=cfg.config_hash(), seed=seed,
         extra={"tag": tag, "task": task, "output_dim": out_dim,
                "embedding_dim": embedding_dim}))
     print(f"probe[{tag}/{task}]: trained linear head")
@@ -460,14 +425,14 @@ def stage_evaluate(run_dir: Path, cfg: ExperimentConfig, tag: str, force: bool):
 def stage_ablate(run_dir: Path, cfg: ExperimentConfig, n_bins: int, force: bool):
     unlabeled = _load_dataset(run_dir, "unlabeled").training_view()
     scores_by_scorer = {s: _load_scores(run_dir, s, unlabeled.sample_ids) for s in SCORERS}
+    for scores in scores_by_scorer.values():
+        _severity_labels(scores, n_bins)  # a bad bin count fails before any training
     train = _load_dataset(run_dir, "labeled_train")
     ml = _load_dataset(run_dir, "test_multilabel")
     rows = baselines.ablation_run(
         scores_by_scorer, unlabeled.images,
         (train.images, train.multihot()), (ml.images, ml.multihot()),
-        n_bins, _policy(cfg), _supcon_config(cfg, 0), _probe_config(cfg, 0),
-        cfg.contrastive.embedding_dim, cfg.contrastive.projection_dim,
-        cfg.derive_seed("ablate"))
+        n_bins, cfg.contrastive, cfg.probe, cfg.derive_seed("ablate"))
     out = run_dir / "report"
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "ablation.csv", ["scorer", "n_bins", "mean_auc"],
@@ -486,7 +451,8 @@ def stage_report(run_dir: Path, cfg: ExperimentConfig, force: bool):
         path = run_dir / "probe" / f"result_{tag}.json"
         if not path.exists():
             continue
-        result = evalprobe.ProbeResult.from_json(path.read_text())
+        result = _read_artifact(path, f"evaluate --tag {tag}",
+                                lambda p: evalprobe.ProbeResult.from_json(p.read_text()))
         row = [tag]
         for name in synthdata.BIOMARKER_NAMES:
             if name in result.per_biomarker:

@@ -35,9 +35,14 @@ class GradconSection:
     epochs: int = 20
     batch_size: int = 32
     learning_rate: float = 0.02
+    # Learning rate for the first epoch only. A hotter first epoch moves the
+    # model out of the initial regime where every image produces nearly the
+    # same gradient; afterwards the lower rate keeps the constraint stable.
     warmup_learning_rate: float = 0.07
     momentum: float = 0.9
     latent_dim: int = 32
+    # Propagate the alignment term into parameter updates via a
+    # Hessian-vector product (finite-difference of gradients).
     constraint_in_update: bool = True
     heldout_count: int = 64
 
@@ -61,14 +66,14 @@ class ContrastiveSection:
     momentum: float = 0.9
     embedding_dim: int = 64
     projection_dim: int = 32
-    crop_scale_min: float = 0.85
+    crop_scale_min: float = 0.85  # area fraction of the random resized crop
     crop_scale_max: float = 1.0
     flip_prob: float = 0.5
     brightness_jitter: float = 0.05
     contrast_jitter: float = 0.05
     normalize_mean: float = 0.5
     normalize_std: float = 0.5
-    balanced_sampler: bool = False
+    balanced_sampler: bool = False  # sample B/2 bins x 2 images per step
 
 
 @dataclass
@@ -184,6 +189,12 @@ def load_config(path: Path) -> ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"unknown key {sec_name}.{key}")
             setattr(section, key, _convert(raw, type_map[key], f"{sec_name}.{key}"))
+    try:
+        if any(n < 1 for n in cfg.labeling.report_bin_list()):
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"labeling.report_bins {cfg.labeling.report_bins!r} is not "
+                          "a comma-separated list of positive bin counts") from None
     if cfg.data.image_side not in SUPPORTED_SIDES:
         raise ConfigError(f"data.image_side {cfg.data.image_side} is unsupported; "
                           f"supported: {SUPPORTED_SIDES}")

@@ -12,29 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ContrastiveSection
 from .models import normalize_rows_backward
 from .numerics import Array, Network, NumericalError, SgdState, as_f64, sgd_step
-
-
-@dataclass
-class AugmentationPolicy:
-    crop_scale: tuple[float, float] = (0.85, 1.0)  # area fraction
-    flip_prob: float = 0.5
-    brightness_jitter: float = 0.05
-    contrast_jitter: float = 0.05
-    normalize_mean: float = 0.5
-    normalize_std: float = 0.5
-
-
-@dataclass
-class SupConConfig:
-    tau: float = 0.07
-    batch_size: int = 64
-    epochs: int = 40
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-    balanced_sampler: bool = False  # sample B/2 bins x 2 images per step
-    seed: int = 0
 
 
 @dataclass
@@ -61,34 +41,34 @@ def _bilinear_resize(img: Array, out_side: int) -> Array:
     return top * (1 - wy) + bot * wy
 
 
-def augment(policy: AugmentationPolicy, image: Array, rng: np.random.Generator) -> Array:
+def augment(c: ContrastiveSection, image: Array, rng: np.random.Generator) -> Array:
     """Random resized crop, horizontal flip, brightness/contrast jitter, then
     mean/std normalization. Output shape equals input shape."""
     img = as_f64(image)[0]
     side = img.shape[0]
 
-    scale = rng.uniform(*policy.crop_scale)
+    scale = rng.uniform(c.crop_scale_min, c.crop_scale_max)
     crop = max(1, int(round(side * np.sqrt(scale))))
     crop = min(crop, side)
     top = rng.integers(0, side - crop + 1)
     left = rng.integers(0, side - crop + 1)
     img = _bilinear_resize(img[top:top + crop, left:left + crop], side)
 
-    if rng.random() < policy.flip_prob:
+    if rng.random() < c.flip_prob:
         img = img[:, ::-1].copy()
 
-    img = img + rng.uniform(-policy.brightness_jitter, policy.brightness_jitter)
-    img = img * (1.0 + rng.uniform(-policy.contrast_jitter, policy.contrast_jitter))
-    img = (img - policy.normalize_mean) / policy.normalize_std
+    img = img + rng.uniform(-c.brightness_jitter, c.brightness_jitter)
+    img = img * (1.0 + rng.uniform(-c.contrast_jitter, c.contrast_jitter))
+    img = (img - c.normalize_mean) / c.normalize_std
     return img[None]
 
 
 def build_multiview_batch(images: Array, labels: Array, idxs: Array,
-                          policy: AugmentationPolicy,
+                          c: ContrastiveSection,
                           rng: np.random.Generator) -> MultiviewBatch:
     idxs = np.asarray(idxs)
-    views = [augment(policy, images[i], rng) for i in idxs]
-    views += [augment(policy, images[i], rng) for i in idxs]
+    views = [augment(c, images[i], rng) for i in idxs]
+    views += [augment(c, images[i], rng) for i in idxs]
     lab = np.asarray(labels)[idxs]
     return MultiviewBatch(
         views=np.stack(views),
@@ -167,8 +147,7 @@ def _balanced_batches(labels: Array, batch_size: int, rng: np.random.Generator):
 
 
 def pretrain(backbone: Network, head: Network, images: Array,
-             pseudo_labels: Array, policy: AugmentationPolicy,
-             config: SupConConfig) -> list[float]:
+             pseudo_labels: Array, c: ContrastiveSection, seed: int) -> list[float]:
     """Train backbone + projection head with the supervised contrastive loss.
 
     Both are updated in place. Returns the per-epoch mean loss curve; the
@@ -176,25 +155,25 @@ def pretrain(backbone: Network, head: Network, images: Array,
     """
     images = as_f64(images)
     labels = np.asarray(pseudo_labels)
-    rng = np.random.default_rng(config.seed)
-    opt = SgdState(config.learning_rate, config.momentum)
+    rng = np.random.default_rng(seed)
+    opt = SgdState(c.learning_rate, c.momentum)
     net = Network(backbone.layers + head.layers)
     params = net.param_dict()
     curve: list[float] = []
-    for _ in range(config.epochs):
+    for _ in range(c.epochs):
         losses = []
-        if config.balanced_sampler:
-            batches = _balanced_batches(labels, config.batch_size, rng)
+        if c.balanced_sampler:
+            batches = _balanced_batches(labels, c.batch_size, rng)
         else:
-            batches = _epoch_batches(images.shape[0], config.batch_size, rng)
+            batches = _epoch_batches(images.shape[0], c.batch_size, rng)
         for idxs in batches:
-            batch = build_multiview_batch(images, labels, idxs, policy, rng)
+            batch = build_multiview_batch(images, labels, idxs, c, rng)
             u = net.forward(batch.views)
             norms = np.linalg.norm(u, axis=1, keepdims=True)
             if np.any(norms < 1e-12):
                 raise NumericalError("projection collapsed to zero vector")
             zed = u / norms
-            loss, dz = supcon_loss_and_grad(zed, batch.labels, config.tau)
+            loss, dz = supcon_loss_and_grad(zed, batch.labels, c.tau)
             if not np.isfinite(loss):
                 raise NumericalError("non-finite contrastive loss")
             net.backward(normalize_rows_backward(u, zed, dz))
@@ -205,7 +184,6 @@ def pretrain(backbone: Network, head: Network, images: Array,
 
 
 def simclr_mode(backbone: Network, head: Network, images: Array,
-                policy: AugmentationPolicy, config: SupConConfig) -> list[float]:
+                c: ContrastiveSection, seed: int) -> list[float]:
     """Instance-discrimination pretraining: each source is its own class."""
-    return pretrain(backbone, head, images, np.arange(images.shape[0]),
-                    policy, config)
+    return pretrain(backbone, head, images, np.arange(images.shape[0]), c, seed)

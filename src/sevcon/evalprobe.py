@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ProbeSection
 from .numerics import (
     Array,
     Network,
@@ -17,15 +18,6 @@ from .numerics import (
     bce_with_logits,
     sgd_step,
 )
-
-
-@dataclass
-class ProbeConfig:
-    epochs: int = 200
-    batch_size: int = 64
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    seed: int = 0
 
 
 @dataclass
@@ -120,7 +112,7 @@ def _embed_all(backbone: Network, images: Array,
 
 
 def train_probe(backbone: Network, head: Network, images: Array,
-                labels: Array, config: ProbeConfig,
+                labels: Array, p: ProbeSection, seed: int,
                 normalize: tuple[float, float] | None = None) -> Network:
     """Train only the linear head on frozen-backbone embeddings.
 
@@ -134,14 +126,14 @@ def train_probe(backbone: Network, head: Network, images: Array,
     out_dim = head.layers[-1].n_out
     if y.shape[1] != out_dim:
         raise ValueError(f"label width {y.shape[1]} != head output width {out_dim}")
-    rng = np.random.default_rng(config.seed)
-    opt = SgdState(config.learning_rate, config.momentum)
+    rng = np.random.default_rng(seed)
+    opt = SgdState(p.learning_rate, p.momentum)
     params = head.param_dict()
     n = feats.shape[0]
-    for _ in range(config.epochs):
+    for _ in range(p.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, n, p.batch_size):
+            idx = order[start:start + p.batch_size]
             logits = head.forward(feats[idx])
             loss, dlogits = bce_with_logits(logits, y[idx])
             if not np.isfinite(loss):

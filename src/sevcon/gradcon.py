@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import GradconSection
 from .models import Autoencoder
 from .numerics import (
     Array,
@@ -23,23 +24,9 @@ from .numerics import (
     sgd_step,
 )
 
-
-@dataclass
-class GradconConfig:
-    alpha: float = 0.03
-    epochs: int = 10
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-    # Learning rate for the first epoch only. A hotter first epoch moves the
-    # model out of the initial regime where every image produces nearly the
-    # same gradient; afterwards the lower rate keeps the constraint stable.
-    # None means "use learning_rate throughout".
-    warmup_learning_rate: float | None = None
-    # Propagate the alignment term into parameter updates via a
-    # Hessian-vector product (finite-difference of gradients).
-    constraint_in_update: bool = True
-    seed: int = 0
+# Held-out images whose per-image alignment is logged each iteration; a fixed
+# subsample keeps the cost of the held-out passes bounded.
+HELDOUT_SAMPLE = 8
 
 
 @dataclass
@@ -168,9 +155,9 @@ def _constraint_update_term(model: Autoencoder, batch: Array,
     return {k: (g_plus[k] - g_minus[k]) / (2.0 * delta) for k in g_plus}
 
 
-def train_gradcon(healthy: Array, config: GradconConfig, model: Autoencoder,
-                  heldout: Array | None = None,
-                  heldout_sample: int = 8) -> tuple[Autoencoder, ReferenceGradients, list[dict]]:
+def train_gradcon(healthy: Array, g: GradconSection, model: Autoencoder, seed: int,
+                  heldout: Array | None = None
+                  ) -> tuple[Autoencoder, ReferenceGradients, list[dict]]:
     """Train the autoencoder on healthy images with the gradient constraint.
 
     Per iteration: compute the reconstruction loss and its decoder gradients;
@@ -179,14 +166,14 @@ def train_gradcon(healthy: Array, config: GradconConfig, model: Autoencoder,
     very first iteration (no reference yet); the reference accumulates every
     iteration. When heldout images are given, each epoch's log entry carries
     the mean alignment of per-image heldout gradients with the reference,
-    averaged over the epoch's iterations (a fixed subsample of heldout_sample
-    images keeps the cost bounded). Returns (model, reference, per-epoch log).
+    averaged over the epoch's iterations, over the first HELDOUT_SAMPLE
+    heldout images. Returns (model, reference, per-epoch log).
     """
     healthy = as_f64(healthy)
     if healthy.shape[0] == 0:
         raise ValueError("empty healthy dataset")
-    rng = np.random.default_rng(config.seed)
-    opt = SgdState(config.learning_rate, config.momentum)
+    rng = np.random.default_rng(seed)
+    opt = SgdState(g.learning_rate, g.momentum)
     ref = ReferenceGradients()
     dec_key_order = [f"decoder.{i}.w" for i in model.decoder_weight_layers()]
     log: list[dict] = []
@@ -195,16 +182,13 @@ def train_gradcon(healthy: Array, config: GradconConfig, model: Autoencoder,
     n = healthy.shape[0]
     held = None
     if heldout is not None and heldout.shape[0] > 0:
-        held = as_f64(heldout)[:min(heldout_sample, heldout.shape[0])]
-    for epoch in range(config.epochs):
-        lr = config.learning_rate
-        if epoch == 0 and config.warmup_learning_rate is not None:
-            lr = config.warmup_learning_rate
-        opt.learning_rate = lr
+        held = as_f64(heldout)[:HELDOUT_SAMPLE]
+    for epoch in range(g.epochs):
+        opt.learning_rate = g.warmup_learning_rate if epoch == 0 else g.learning_rate
         order = rng.permutation(n)
         recon_vals, align_vals, held_vals = [], [], []
-        for start in range(0, n, config.batch_size):
-            batch = healthy[order[start:start + config.batch_size]]
+        for start in range(0, n, g.batch_size):
+            batch = healthy[order[start:start + g.batch_size]]
             loss, grads = _recon_backward(model, batch)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite reconstruction loss at epoch {epoch}")
@@ -221,11 +205,11 @@ def train_gradcon(healthy: Array, config: GradconConfig, model: Autoencoder,
                         aligns.append(gradient_alignment(
                             decoder_weight_gradients(model), ref))
                     held_vals.append(float(np.mean(aligns)))
-                if config.constraint_in_update and config.alpha != 0.0:
+                if g.constraint_in_update and g.alpha != 0.0:
                     dalign = _alignment_grad_wrt_gradients(dec_grads, ref)
                     hv = _constraint_update_term(model, batch, dec_key_order, dalign)
                     for k in update:
-                        update[k] -= config.alpha * hv[k]
+                        update[k] -= g.alpha * hv[k]
             sgd_step(opt, params, update)
             update_reference(ref, dec_grads)
             recon_vals.append(loss)

@@ -28,7 +28,6 @@ from .numerics import (
     Relu,
     Reshape,
     Sigmoid,
-    params_checksum,
 )
 
 SUPPORTED_SIDES = (32, 64)
@@ -61,9 +60,6 @@ class Autoencoder:
     def decoder_weight_layers(self) -> list[int]:
         """Indices of decoder layers carrying a weight tensor, in order."""
         return [i for i, layer in enumerate(self.decoder.layers) if "w" in layer.params]
-
-    def checksum(self) -> str:
-        return params_checksum(self.param_dict())
 
 
 def _check_side(image_side: int):

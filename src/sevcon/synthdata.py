@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_open
+from .config import DataSection
 from .numerics import Array
 
 LESION_TYPES = ("fluid_blob", "bright_focus", "detachment_line",
@@ -28,15 +29,6 @@ BIOMARKER_NAMES = ("bio_a", "bio_b", "bio_c", "bio_d", "bio_e")
 N_BIOMARKERS = len(BIOMARKER_NAMES)
 
 FORMAT_VERSION = 2  # of data/<split>/manifest.json
-
-
-@dataclass
-class SynthConfig:
-    image_side: int = 32
-    n_stripes: int = 6
-    stripe_contrast: float = 0.55
-    noise_std: float = 0.03
-    seed: int = 0
 
 
 @dataclass
@@ -87,27 +79,27 @@ class Lesion:
     params: dict = field(default_factory=dict)
 
 
-def _sample_seed(config_seed: int, namespace: str, index: int, stream: str) -> int:
-    digest = hashlib.sha256(f"{config_seed}:{namespace}:{index}:{stream}".encode()).digest()
+def _sample_seed(seed: int, namespace: str, index: int, stream: str) -> int:
+    digest = hashlib.sha256(f"{seed}:{namespace}:{index}:{stream}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
-def _render_structure(config: SynthConfig, rng: np.random.Generator) -> Array:
-    side = config.image_side
+def _render_structure(data: DataSection, rng: np.random.Generator) -> Array:
+    side = data.image_side
     yy = np.arange(side)[:, None]
     xx = np.arange(side)[None, :]
     img = 0.05 + 0.10 * (yy / side) * np.ones((side, side))
-    centers = np.linspace(side * 0.15, side * 0.85, config.n_stripes)
+    centers = np.linspace(side * 0.15, side * 0.85, data.n_stripes)
     tilt = rng.uniform(-1.0, 1.0)
     bow = rng.uniform(0.0, 1.5)
     for c in centers:
         offset = rng.uniform(-0.5, 0.5)
         width = rng.uniform(1.0, 1.3)
-        gain = config.stripe_contrast * rng.uniform(0.85, 1.0)
+        gain = data.stripe_contrast * rng.uniform(0.85, 1.0)
         curve = (c + offset + tilt * (2 * xx / side - 1.0)
                  + bow * np.sin(np.pi * xx / side))
         img = img + gain * np.exp(-((yy - curve) ** 2) / (2 * width ** 2))
-    img += rng.normal(0.0, config.noise_std, size=(side, side))
+    img += rng.normal(0.0, data.noise_std, size=(side, side))
     return img
 
 
@@ -163,12 +155,12 @@ def _apply_lesion(img: Array, lesion: Lesion) -> Array:
     return out
 
 
-def render_sample(config: SynthConfig, namespace: str, index: int,
+def render_sample(data: DataSection, seed: int, namespace: str, index: int,
                   lesions: list[Lesion]) -> Array:
     """Pure render of one sample; structure noise is independent of lesions,
     so the lesion-free render of the same (namespace, index) is comparable."""
-    structure_rng = np.random.default_rng(_sample_seed(config.seed, namespace, index, "structure"))
-    img = _render_structure(config, structure_rng)
+    structure_rng = np.random.default_rng(_sample_seed(seed, namespace, index, "structure"))
+    img = _render_structure(data, structure_rng)
     for lesion in lesions:
         img = _apply_lesion(img, lesion)
     return np.clip(img, 0.0, 1.0)[None]
@@ -181,55 +173,52 @@ def _lesions_to_gt(lesions: list[Lesion]) -> GroundTruth:
     return GroundTruth(severity=len(lesions), biomarkers=bio)
 
 
-def _make_samples(config: SynthConfig, namespace: str,
+def _make_samples(data: DataSection, seed: int, namespace: str,
                   lesion_lists: list[list[Lesion]]) -> Dataset:
     ids = [f"{namespace}_{i:05d}" for i in range(len(lesion_lists))]
-    images = np.stack([render_sample(config, namespace, i, lesions)
+    images = np.stack([render_sample(data, seed, namespace, i, lesions)
                        for i, lesions in enumerate(lesion_lists)])
     gts = [_lesions_to_gt(lesions) for lesions in lesion_lists]
     return Dataset(ids, images, gts)
 
 
-def _random_lesions(config: SynthConfig, namespace: str, index: int,
+def _random_lesions(data: DataSection, seed: int, namespace: str, index: int,
                     kinds: list[int]) -> list[Lesion]:
-    rng = np.random.default_rng(_sample_seed(config.seed, namespace, index, "lesions"))
-    return [_draw_lesion(k, config.image_side, rng) for k in kinds]
+    rng = np.random.default_rng(_sample_seed(seed, namespace, index, "lesions"))
+    return [_draw_lesion(k, data.image_side, rng) for k in kinds]
 
 
-def generate_healthy(n: int, config: SynthConfig) -> Dataset:
-    return _make_samples(config, "healthy", [[] for _ in range(n)])
+def generate_healthy(data: DataSection, seed: int) -> Dataset:
+    """``data.n_healthy`` lesion-free images."""
+    return _make_samples(data, seed, "healthy", [[] for _ in range(data.n_healthy)])
 
 
-def generate_unlabeled(n: int, severity_max: int, config: SynthConfig) -> Dataset:
-    """Severities uniform over {0..severity_max}; lesion types independent
-    per lesion. Ground truth rides along but training code should consume
-    ``training_view()``."""
-    lesion_lists = []
-    for i in range(n):
-        rng = np.random.default_rng(_sample_seed(config.seed, "unlabeled", i, "plan"))
-        k = int(rng.integers(0, severity_max + 1))
-        kinds = [int(rng.integers(0, N_BIOMARKERS)) for _ in range(k)]
-        lesion_lists.append(_random_lesions(config, "unlabeled", i, kinds))
-    return _make_samples(config, "unlabeled", lesion_lists)
-
-
-def _mixed_plan(config: SynthConfig, namespace: str, i: int, severity_max: int) -> list[Lesion]:
-    rng = np.random.default_rng(_sample_seed(config.seed, namespace, i, "plan"))
-    k = int(rng.integers(0, severity_max + 1))
+def _mixed_plan(data: DataSection, seed: int, namespace: str, i: int) -> list[Lesion]:
+    """Severity uniform over {0..data.severity_max}; lesion types independent
+    per lesion."""
+    rng = np.random.default_rng(_sample_seed(seed, namespace, i, "plan"))
+    k = int(rng.integers(0, data.severity_max + 1))
     kinds = [int(rng.integers(0, N_BIOMARKERS)) for _ in range(k)]
-    return _random_lesions(config, namespace, i, kinds)
+    return _random_lesions(data, seed, namespace, i, kinds)
 
 
-def generate_labeled_splits(n_train: int, n_test_per_biomarker: int,
-                            config: SynthConfig, severity_max: int = 4,
-                            n_multilabel_test: int | None = None) -> LabeledSplits:
+def generate_unlabeled(data: DataSection, seed: int) -> Dataset:
+    """``data.n_unlabeled`` images of mixed severity. Ground truth rides along
+    but training code should consume ``training_view()``."""
+    return _make_samples(data, seed, "unlabeled",
+                         [_mixed_plan(data, seed, "unlabeled", i)
+                          for i in range(data.n_unlabeled)])
+
+
+def generate_labeled_splits(data: DataSection, seed: int) -> LabeledSplits:
     """Labeled train set, five balanced binary test sets (50/50 biomarker
     present/absent), and a multi-label test set, all id-disjoint."""
+    n_test_per_biomarker = data.n_test_per_biomarker
     if n_test_per_biomarker % 2 != 0:
         raise ValueError("n_test_per_biomarker must be even for balanced sets")
-    train = _make_samples(config, "train",
-                          [_mixed_plan(config, "train", i, severity_max)
-                           for i in range(n_train)])
+    train = _make_samples(data, seed, "train",
+                          [_mixed_plan(data, seed, "train", i)
+                           for i in range(data.n_labeled_train)])
 
     binary_tests: dict[str, Dataset] = {}
     half = n_test_per_biomarker // 2
@@ -237,7 +226,7 @@ def generate_labeled_splits(n_train: int, n_test_per_biomarker: int,
         ns = f"test_{name}"
         lesion_lists = []
         for i in range(n_test_per_biomarker):
-            rng = np.random.default_rng(_sample_seed(config.seed, ns, i, "plan"))
+            rng = np.random.default_rng(_sample_seed(seed, ns, i, "plan"))
             others = [t for t in range(N_BIOMARKERS) if t != j]
             if i < half:  # positives: biomarker j plus 0-2 other lesions
                 kinds = [j] + [others[int(rng.integers(0, len(others)))]
@@ -245,13 +234,12 @@ def generate_labeled_splits(n_train: int, n_test_per_biomarker: int,
             else:  # negatives: 0-3 lesions, never type j
                 kinds = [others[int(rng.integers(0, len(others)))]
                          for _ in range(int(rng.integers(0, 4)))]
-            lesion_lists.append(_random_lesions(config, ns, i, kinds))
-        binary_tests[name] = _make_samples(config, ns, lesion_lists)
+            lesion_lists.append(_random_lesions(data, seed, ns, i, kinds))
+        binary_tests[name] = _make_samples(data, seed, ns, lesion_lists)
 
-    n_ml = n_multilabel_test if n_multilabel_test is not None else 2 * n_test_per_biomarker
-    ml = _make_samples(config, "test_multilabel",
-                       [_mixed_plan(config, "test_multilabel", i, severity_max)
-                        for i in range(n_ml)])
+    ml = _make_samples(data, seed, "test_multilabel",
+                       [_mixed_plan(data, seed, "test_multilabel", i)
+                        for i in range(data.n_multilabel_test)])
     return LabeledSplits(train, binary_tests, ml)
 
 
@@ -280,9 +268,8 @@ def save_dataset(directory: Path, dataset: Dataset, meta: dict):
             for sid, gt in zip(dataset.sample_ids, dataset.ground_truth):
                 writer.writerow([sid, *(int(b) for b in gt.biomarkers), gt.severity])
     manifest = {"format_version": FORMAT_VERSION, "sample_ids": dataset.sample_ids, **meta}
-    tmp = directory / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    os.replace(tmp, manifest_path)
+    with atomic_open(manifest_path) as f:
+        f.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def load_dataset(directory: Path) -> Dataset:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sevcon.baselines import (
-    ClassifierConfig,
     ablation_run,
     classifier_logits,
     fit_gaussian_stats,
@@ -16,8 +15,7 @@ from sevcon.baselines import (
     score_corpus,
     train_supervised_classifier,
 )
-from sevcon.contrastive import AugmentationPolicy, SupConConfig
-from sevcon.evalprobe import ProbeConfig
+from sevcon.config import BaselinesSection, ContrastiveSection, ProbeSection
 from sevcon.numerics import NumericalError, softmax
 
 RNG = np.random.default_rng(13)
@@ -28,8 +26,10 @@ def tiny_classifier():
     n = 24
     images = np.clip(RNG.random(size=(n, 1, 32, 32)), 0.0, 1.0)
     multihot = RNG.integers(0, 2, size=(n, 5)).astype(float)
-    cfg = ClassifierConfig(epochs=2, batch_size=8, learning_rate=1e-3, seed=0)
-    clf = train_supervised_classifier(images, multihot, 64, cfg)
+    b = BaselinesSection(classifier_epochs=2, classifier_batch_size=8,
+                         classifier_learning_rate=1e-3)
+    clf = train_supervised_classifier(images, multihot, ContrastiveSection(embedding_dim=64),
+                                      b, seed=0)
     return clf, images, multihot
 
 
@@ -104,17 +104,19 @@ def test_degenerate_covariance_raises():
 def test_score_corpus_dispatch(tiny_classifier):
     clf, images, multihot = tiny_classifier
     corpus = images[:4]
-    msp = score_corpus(clf, corpus, "msp")
+    b = BaselinesSection()
+    msp = score_corpus(clf, corpus, "msp", b)
     assert msp.shape == (4,)
-    odin = score_corpus(clf, corpus, "odin", odin_T=1.0, odin_eps=0.0)
+    odin = score_corpus(clf, corpus, "odin",
+                        BaselinesSection(odin_temperature=1.0, odin_epsilon=0.0))
     assert np.array_equal(msp, odin)  # bitwise at T=1, eps=0
-    maha = score_corpus(clf, corpus, "mahalanobis",
+    maha = score_corpus(clf, corpus, "mahalanobis", b,
                         train_images=images, train_multihot=multihot)
     assert np.all(maha >= 0.0)
     with pytest.raises(ValueError, match="labeled training data"):
-        score_corpus(clf, corpus, "mahalanobis")
+        score_corpus(clf, corpus, "mahalanobis", b)
     with pytest.raises(ValueError, match="unknown scorer"):
-        score_corpus(clf, corpus, "nope")
+        score_corpus(clf, corpus, "nope", b)
 
 
 def test_ablation_run_shared_seeds_identical_for_identical_scores():
@@ -130,10 +132,9 @@ def test_ablation_run_shared_seeds_identical_for_identical_scores():
     rows = ablation_run(
         {"a": scores, "b": scores.copy(), "c": scores + 0.5},  # c: shifted, same ranks
         corpus, train, test, n_bins=4,
-        policy=AugmentationPolicy(),
-        pretrain_cfg=SupConConfig(epochs=1, batch_size=8, learning_rate=1e-3),
-        probe_cfg=ProbeConfig(epochs=2, batch_size=8),
-        embedding_dim=64, projection_dim=32, seed=3)
+        c=ContrastiveSection(epochs=1, batch_size=8, learning_rate=1e-3,
+                             embedding_dim=64, projection_dim=32),
+        p=ProbeSection(epochs=2, batch_size=8), seed=3)
     assert [r["scorer"] for r in rows] == ["a", "b", "c"]
     assert all(r["n_bins"] == 4 for r in rows)
     # identical scores and rank-preserving shifts give bitwise-equal rows

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from sevcon.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from sevcon.cli import _write_csv
+from sevcon.config import ExperimentConfig
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -63,3 +65,31 @@ def test_format_version_check(tmp_path):
         np.savez(f, **data)
     with pytest.raises(ValueError, match="unsupported checkpoint format"):
         load_checkpoint(path)
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
+    """A checkpoint or CSV write that fails midway leaves the previous file
+    as it was and no temporary file behind."""
+    ckpt = tmp_path / "c.npz"
+    save_checkpoint(ckpt, Checkpoint("backbone", {"w": np.ones(3)}))
+    table = tmp_path / "t.csv"
+    _write_csv(table, ["sample_id", "severity"], [["a", 0.5]], ExperimentConfig())
+    before = {p: p.read_bytes() for p in (ckpt, table)}
+
+    def cut_savez(f, **arrays):
+        f.write(b"PK\x03\x04")  # the start of a zip archive
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", cut_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ckpt, Checkpoint("backbone", {"w": np.zeros(3)}))
+
+    class Unwritable:
+        def __str__(self):
+            raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _write_csv(table, ["sample_id", "severity"], [["a", 0.7004825], ["b", Unwritable()]],
+                   ExperimentConfig())
+    assert {p: p.read_bytes() for p in (ckpt, table)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.npz", "t.csv"]

@@ -132,12 +132,14 @@ def test_rerun_stage_is_deterministic(small_run):
     assert (run / "scores" / "severity.csv").read_bytes() == before
 
 
-def test_exit_codes(small_run, tmp_path):
+def test_exit_codes(small_run, tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[gradcon]\nepochs = many\n")
     fresh = tmp_path / "fresh"
     assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
     bad.write_text("[data]\nimage_side = 48\n")  # no architecture for this size
+    assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    bad.write_text("[labeling]\nreport_bins = 4,x\n")
     assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
     assert main(["--run-dir", str(fresh), "--config", str(tmp_path / "missing.ini"),
                  "gen-data"]) == EXIT_CONFIG
@@ -156,6 +158,12 @@ def test_exit_codes(small_run, tmp_path):
     # upstream artifacts present but unusable
     run = tmp_path / "damaged"
     shutil.copytree(small_run[0], run)
+    assert main(["--run-dir", str(run), "ablate", "--bins", "100000"]) == EXIT_CONFIG
+    result = run / "probe" / "result_simclr.json"
+    intact = result.read_bytes()
+    result.write_bytes(intact[:50])
+    assert main(["--run-dir", str(run), "report"]) == EXIT_MISSING
+    result.write_bytes(intact)
     labels = run / "labels" / "severity_bins8.csv"
     labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
     assert main(["--run-dir", str(run), "pretrain", "--bins", "8"]) == EXIT_MISSING
@@ -171,6 +179,15 @@ def test_exit_codes(small_run, tmp_path):
     scores.write_text("".join(scores.read_text().splitlines(keepends=True)[:-1]))
     assert main(["--run-dir", str(run), "make-labels", "--bins", "8",
                  "--scorer", "msp"]) == EXIT_MISSING
+    scores = run / "scores" / "severity.csv"
+    text = scores.read_text()
+    scores.write_text(text[:text.rindex(",")])  # the last row cut mid-row
+    capsys.readouterr()
+    assert main(["--run-dir", str(run), "make-labels", "--bins", "8"]) == EXIT_MISSING
+    assert "rerun `sevcon score --scorer severity`" in capsys.readouterr().err
+    labels = run / "labels" / "severity_bins4.csv"
+    labels.write_text(labels.read_text().replace(",0\n", ",x\n", 1))  # a bin label
+    assert main(["--run-dir", str(run), "pretrain", "--bins", "4"]) == EXIT_MISSING
     (run / "data" / "healthy" / "images.npy").unlink()
     assert main(["--run-dir", str(run), "train-gradcon"]) == EXIT_MISSING
     images = run / "data" / "labeled_train" / "images.npy"

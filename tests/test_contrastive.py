@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from sevcon.config import ContrastiveSection
 from sevcon.contrastive import (
-    AugmentationPolicy,
-    SupConConfig,
     _bilinear_resize,
     augment,
     build_multiview_batch,
@@ -130,25 +129,25 @@ def test_bilinear_resize_identity_and_constant():
 
 
 def test_augment_shape_normalization_and_determinism():
-    policy = AugmentationPolicy()
+    c = ContrastiveSection()
     img = RNG.random(size=(1, 16, 16))
-    v1 = augment(policy, img, np.random.default_rng(5))
-    v2 = augment(policy, img, np.random.default_rng(5))
+    v1 = augment(c, img, np.random.default_rng(5))
+    v2 = augment(c, img, np.random.default_rng(5))
     assert v1.shape == img.shape
     assert np.array_equal(v1, v2)  # same rng stream -> same view
     # normalization: a view of an all-0.5 image with no jitter is exactly 0
-    plain = AugmentationPolicy(crop_scale=(1.0, 1.0), flip_prob=0.0,
+    plain = ContrastiveSection(crop_scale_min=1.0, crop_scale_max=1.0, flip_prob=0.0,
                                brightness_jitter=0.0, contrast_jitter=0.0)
     out = augment(plain, np.full((1, 16, 16), 0.5), np.random.default_rng(0))
     assert np.allclose(out, 0.0)
 
 
 def test_augment_flip():
-    policy = AugmentationPolicy(crop_scale=(1.0, 1.0), flip_prob=1.0,
-                                brightness_jitter=0.0, contrast_jitter=0.0,
-                                normalize_mean=0.0, normalize_std=1.0)
+    c = ContrastiveSection(crop_scale_min=1.0, crop_scale_max=1.0, flip_prob=1.0,
+                           brightness_jitter=0.0, contrast_jitter=0.0,
+                           normalize_mean=0.0, normalize_std=1.0)
     img = np.arange(16.0).reshape(1, 4, 4) / 16.0
-    out = augment(policy, img, np.random.default_rng(0))
+    out = augment(c, img, np.random.default_rng(0))
     assert np.array_equal(out[0], img[0, :, ::-1])
 
 
@@ -156,7 +155,7 @@ def test_build_multiview_batch_layout():
     images = RNG.random(size=(5, 1, 8, 8))
     labels = np.array([3, 1, 4, 1, 5])
     idxs = np.array([0, 2, 4])
-    batch = build_multiview_batch(images, labels, idxs, AugmentationPolicy(),
+    batch = build_multiview_batch(images, labels, idxs, ContrastiveSection(),
                                   np.random.default_rng(0))
     assert batch.views.shape == (6, 1, 8, 8)
     assert np.array_equal(batch.labels, np.array([3, 4, 5, 3, 4, 5]))
@@ -177,12 +176,12 @@ def tiny_corpus(n=12):
 def test_pretrain_deterministic_and_loss_finite():
     images = tiny_corpus()
     labels = np.arange(12) % 4
-    cfg = SupConConfig(epochs=2, batch_size=6, learning_rate=1e-3, seed=9)
+    c = ContrastiveSection(epochs=2, batch_size=6, learning_rate=1e-3)
 
     def run():
         bb = build_backbone(32, 16, seed=4)
         head = build_projection_head(16, 8, seed=5)
-        curve = pretrain(bb, head, images, labels, AugmentationPolicy(), cfg)
+        curve = pretrain(bb, head, images, labels, c, 9)
         return params_checksum(bb.param_dict()), curve
 
     c1, curve1 = run()
@@ -195,25 +194,25 @@ def test_pretrain_deterministic_and_loss_finite():
 
 def test_simclr_mode_equals_instance_labels():
     images = tiny_corpus(8)
-    cfg = SupConConfig(epochs=1, batch_size=4, learning_rate=1e-3, seed=2)
+    c = ContrastiveSection(epochs=1, batch_size=4, learning_rate=1e-3)
     bb1 = build_backbone(32, 16, seed=4)
     h1 = build_projection_head(16, 8, seed=5)
-    curve1 = simclr_mode(bb1, h1, images, AugmentationPolicy(), cfg)
+    curve1 = simclr_mode(bb1, h1, images, c, 2)
     bb2 = build_backbone(32, 16, seed=4)
     h2 = build_projection_head(16, 8, seed=5)
-    curve2 = pretrain(bb2, h2, images, np.arange(8), AugmentationPolicy(), cfg)
+    curve2 = pretrain(bb2, h2, images, np.arange(8), c, 2)
     assert params_checksum(bb1.param_dict()) == params_checksum(bb2.param_dict())
     assert curve1 == curve2
 
 
 def test_balanced_sampler_requires_multi_member_bins():
     images = tiny_corpus(6)
-    cfg = SupConConfig(epochs=1, batch_size=4, learning_rate=1e-3, seed=2,
-                       balanced_sampler=True)
+    c = ContrastiveSection(epochs=1, batch_size=4, learning_rate=1e-3,
+                           balanced_sampler=True)
     bb = build_backbone(32, 16, seed=4)
     head = build_projection_head(16, 8, seed=5)
     with pytest.raises(ValueError, match="balanced sampler"):
-        pretrain(bb, head, images, np.arange(6), AugmentationPolicy(), cfg)
+        pretrain(bb, head, images, np.arange(6), c, 2)
     # works when bins have >= 2 members
-    curve = pretrain(bb, head, images, np.arange(6) % 3, AugmentationPolicy(), cfg)
+    curve = pretrain(bb, head, images, np.arange(6) % 3, c, 2)
     assert len(curve) == 1

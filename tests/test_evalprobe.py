@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from sevcon.config import ProbeSection
 from sevcon.evalprobe import (
-    ProbeConfig,
     ProbeResult,
     _embed_all,
     accuracy,
@@ -70,8 +70,8 @@ def test_probe_learns_linearly_separable_embeddings():
     images = rng.random(size=(n, 1, 32, 32)) * 0.2 + 0.55 * labels[:, None, None, None]
     backbone = build_backbone(32, 16, seed=1)
     head = build_classifier_head(16, 1, seed=2)
-    cfg = ProbeConfig(epochs=100, batch_size=16, learning_rate=0.1, seed=3)
-    train_probe(backbone, head, images, labels, cfg)
+    p = ProbeSection(epochs=100, batch_size=16, learning_rate=0.1)
+    train_probe(backbone, head, images, labels, p, 3)
     scores = predict_scores(backbone, head, images)[:, 0]
     assert roc_auc(scores, labels) > 0.95
 
@@ -91,7 +91,7 @@ def test_train_probe_rejects_label_width_mismatch():
     head = build_classifier_head(16, 1, seed=2)
     images = np.zeros((4, 1, 32, 32))
     with pytest.raises(ValueError, match="label width"):
-        train_probe(backbone, head, images, np.zeros((4, 3)), ProbeConfig(epochs=1))
+        train_probe(backbone, head, images, np.zeros((4, 3)), ProbeSection(epochs=1), 0)
 
 
 def test_evaluate_structure_and_warnings():

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import central_diff, rel_err
 from sevcon import gradcon
+from sevcon.config import GradconSection
 from sevcon.gradcon import (
-    GradconConfig,
     ReferenceGradients,
     _alignment_grad_wrt_gradients,
     _constraint_update_term,
@@ -127,8 +127,9 @@ def test_constraint_update_term_matches_fd_of_l_grad():
 def test_severity_score_value_and_purity():
     model = tiny_model()
     images = tiny_images(6)
-    cfg = GradconConfig(epochs=1, batch_size=3, learning_rate=1e-3, seed=0)
-    model, ref, _ = train_gradcon(images, cfg, model)
+    g = GradconSection(epochs=1, batch_size=3, learning_rate=1e-3,
+                       warmup_learning_rate=1e-3)
+    model, ref, _ = train_gradcon(images, g, model, seed=0)
 
     before = params_checksum(model.param_dict())
     ref_before = [m.copy() for m in ref.layer_means]
@@ -155,9 +156,10 @@ def test_severity_score_requires_reference_and_single_image():
 
 def test_train_gradcon_deterministic_and_logged():
     images = tiny_images(8)
-    cfg = GradconConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=5)
-    m1, ref1, log1 = train_gradcon(images, cfg, tiny_model(), heldout=images[:2])
-    m2, ref2, log2 = train_gradcon(images, cfg, tiny_model(), heldout=images[:2])
+    g = GradconSection(epochs=2, batch_size=4, learning_rate=1e-3,
+                       warmup_learning_rate=1e-3)
+    m1, ref1, log1 = train_gradcon(images, g, tiny_model(), 5, heldout=images[:2])
+    m2, ref2, log2 = train_gradcon(images, g, tiny_model(), 5, heldout=images[:2])
     assert params_checksum(m1.param_dict()) == params_checksum(m2.param_dict())
     assert ref1.count == ref2.count == 4  # 2 epochs x 2 batches
     assert [e["mean_recon"] for e in log1] == [e["mean_recon"] for e in log2]
@@ -169,17 +171,17 @@ def test_train_gradcon_deterministic_and_logged():
 
 def test_train_gradcon_constraint_changes_trajectory():
     images = tiny_images(8)
-    base = dict(epochs=2, batch_size=4, learning_rate=1e-2, seed=5)
-    m1, _, _ = train_gradcon(images, GradconConfig(**base, constraint_in_update=True),
-                             tiny_model())
-    m2, _, _ = train_gradcon(images, GradconConfig(**base, constraint_in_update=False),
-                             tiny_model())
+    base = dict(epochs=2, batch_size=4, learning_rate=1e-2, warmup_learning_rate=1e-2)
+    m1, _, _ = train_gradcon(images, GradconSection(**base, constraint_in_update=True),
+                             tiny_model(), 5)
+    m2, _, _ = train_gradcon(images, GradconSection(**base, constraint_in_update=False),
+                             tiny_model(), 5)
     assert params_checksum(m1.param_dict()) != params_checksum(m2.param_dict())
 
 
 def test_train_gradcon_empty_dataset():
     with pytest.raises(ValueError):
-        train_gradcon(np.zeros((0, 1, 32, 32)), GradconConfig(), tiny_model())
+        train_gradcon(np.zeros((0, 1, 32, 32)), GradconSection(), tiny_model(), 0)
 
 
 def test_decoder_weight_gradients_order_and_exclusions():
@@ -195,7 +197,8 @@ def test_decoder_weight_gradients_order_and_exclusions():
 def test_score_dataset_matches_individual_scores():
     model = tiny_model()
     images = tiny_images(4)
-    cfg = GradconConfig(epochs=1, batch_size=2, learning_rate=1e-3, seed=0)
-    model, ref, _ = train_gradcon(images, cfg, model)
+    g = GradconSection(epochs=1, batch_size=2, learning_rate=1e-3,
+                       warmup_learning_rate=1e-3)
+    model, ref, _ = train_gradcon(images, g, model, seed=0)
     scores = gradcon.score_dataset(model, ref, images, 0.03)
     assert scores[2] == severity_score(model, ref, images[2], 0.03)

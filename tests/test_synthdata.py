@@ -4,12 +4,12 @@ split balance, and the on-disk format."""
 import numpy as np
 import pytest
 
+from sevcon.config import DataSection
 from sevcon.synthdata import (
     BIOMARKER_NAMES,
     Dataset,
     GroundTruth,
     Lesion,
-    SynthConfig,
     generate_healthy,
     generate_labeled_splits,
     generate_unlabeled,
@@ -18,19 +18,20 @@ from sevcon.synthdata import (
     save_dataset,
 )
 
-CFG = SynthConfig(seed=42)
+DATA = DataSection()
+SEED = 42
 
 
 def test_generation_is_deterministic():
-    a = generate_healthy(5, CFG)
-    b = generate_healthy(5, CFG)
+    a = generate_healthy(DataSection(n_healthy=5), SEED)
+    b = generate_healthy(DataSection(n_healthy=5), SEED)
     assert np.array_equal(a.images, b.images)
-    c = generate_healthy(5, SynthConfig(seed=43))
+    c = generate_healthy(DataSection(n_healthy=5), 43)
     assert not np.array_equal(a.images, c.images)
 
 
 def test_images_in_unit_range_and_shape():
-    ds = generate_unlabeled(10, 4, CFG)
+    ds = generate_unlabeled(DataSection(n_unlabeled=10, severity_max=4), SEED)
     assert ds.images.shape == (10, 1, 32, 32)
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
@@ -45,13 +46,13 @@ def test_ground_truth_invariant():
 
 
 def test_healthy_has_zero_severity():
-    ds = generate_healthy(4, CFG)
+    ds = generate_healthy(DataSection(n_healthy=4), SEED)
     assert np.array_equal(ds.severities(), np.zeros(4, dtype=np.int64))
     assert ds.multihot().sum() == 0
 
 
 def test_unlabeled_severity_range_and_multihot_consistency():
-    ds = generate_unlabeled(50, 3, CFG)
+    ds = generate_unlabeled(DataSection(n_unlabeled=50, severity_max=3), SEED)
     sev = ds.severities()
     assert sev.min() >= 0 and sev.max() <= 3
     multi = ds.multihot()
@@ -65,8 +66,8 @@ def test_each_lesion_kind_changes_the_image():
         rng = np.random.default_rng(kind)
         from sevcon.synthdata import _draw_lesion
         lesion = _draw_lesion(kind, 32, rng)
-        clean = render_sample(CFG, "t", 0, [])
-        dirty = render_sample(CFG, "t", 0, [lesion])
+        clean = render_sample(DATA, SEED, "t", 0, [])
+        dirty = render_sample(DATA, SEED, "t", 0, [lesion])
         assert np.linalg.norm(dirty - clean) > 0.1, f"kind {kind} had no effect"
 
 
@@ -75,14 +76,15 @@ def test_lesion_free_render_shares_structure():
     the lesion list, so lesion effects are isolated."""
     from sevcon.synthdata import _draw_lesion
     lesion = _draw_lesion(1, 32, np.random.default_rng(0))
-    clean = render_sample(CFG, "t", 3, [])
-    dirty = render_sample(CFG, "t", 3, [lesion])
+    clean = render_sample(DATA, SEED, "t", 3, [])
+    dirty = render_sample(DATA, SEED, "t", 3, [lesion])
     changed = np.abs(dirty - clean) > 1e-12
     assert changed.any() and not changed.all()
 
 
 def test_labeled_splits_balance_and_correctness():
-    splits = generate_labeled_splits(20, 10, CFG, n_multilabel_test=12)
+    splits = generate_labeled_splits(
+        DataSection(n_labeled_train=20, n_test_per_biomarker=10, n_multilabel_test=12), SEED)
     assert len(splits.train) == 20
     assert len(splits.multilabel_test) == 12
     for j, name in enumerate(BIOMARKER_NAMES):
@@ -95,7 +97,8 @@ def test_labeled_splits_balance_and_correctness():
 
 
 def test_split_ids_are_disjoint():
-    splits = generate_labeled_splits(6, 4, CFG, n_multilabel_test=4)
+    splits = generate_labeled_splits(
+        DataSection(n_labeled_train=6, n_test_per_biomarker=4, n_multilabel_test=4), SEED)
     all_ids = list(splits.train.sample_ids) + list(splits.multilabel_test.sample_ids)
     for ds in splits.binary_tests.values():
         all_ids += list(ds.sample_ids)
@@ -103,7 +106,7 @@ def test_split_ids_are_disjoint():
 
 
 def test_training_view_hides_ground_truth():
-    ds = generate_unlabeled(3, 2, CFG)
+    ds = generate_unlabeled(DataSection(n_unlabeled=3, severity_max=2), SEED)
     view = ds.training_view()
     assert view.ground_truth is None
     with pytest.raises(ValueError):
@@ -111,7 +114,7 @@ def test_training_view_hides_ground_truth():
 
 
 def test_dataset_round_trip(tmp_path):
-    ds = generate_unlabeled(4, 3, CFG)
+    ds = generate_unlabeled(DataSection(n_unlabeled=4, severity_max=3), SEED)
     (tmp_path / "d").mkdir()
     (tmp_path / "d" / "x.bin").write_bytes(b"SIMG")  # a file of the per-image layout
     save_dataset(tmp_path / "d", ds, {"config_hash": "abc", "seed": 42})
@@ -138,4 +141,4 @@ def test_dataset_round_trip(tmp_path):
 
 def test_odd_binary_test_size_rejected():
     with pytest.raises(ValueError, match="even"):
-        generate_labeled_splits(4, 5, CFG)
+        generate_labeled_splits(DataSection(n_test_per_biomarker=5), SEED)
