@@ -69,7 +69,7 @@ def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSe
             loss, dlogits = bce_with_logits(logits, y[idx])
             if not np.isfinite(loss):
                 raise NumericalError("non-finite classifier loss")
-            net.backward(dlogits)
+            net.backward(dlogits, input_grad=False)
             sgd_step(opt, params, net.grad_dict())
 
     combo_classes, combo_idx = np.unique(y.astype(np.int64), axis=0, return_inverse=True)
@@ -108,8 +108,7 @@ def msp_score(clf: SupervisedClassifier, x: Array) -> float:
     return -msp_from_logits(classifier_logits(clf, x))
 
 
-def odin_score(clf: SupervisedClassifier, x: Array, T: float = 1000.0,
-               eps: float = 0.0014) -> float:
+def odin_score(clf: SupervisedClassifier, x: Array, T: float, eps: float) -> float:
     """Perturb the input against the temperature-scaled cross-entropy gradient
     at the predicted class, then score with the temperature-scaled MSP."""
     if T <= 0:
@@ -128,7 +127,7 @@ def odin_score(clf: SupervisedClassifier, x: Array, T: float = 1000.0,
 
 
 def fit_gaussian_stats(features: Array, class_idx: Array,
-                       epsilon: float = 1e-3) -> GaussianClassStats:
+                       epsilon: float) -> GaussianClassStats:
     """Per-class means and a tied covariance with diagonal regularization."""
     feats = as_f64(features)
     idx = np.asarray(class_idx)

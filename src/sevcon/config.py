@@ -195,6 +195,9 @@ def load_config(path: Path) -> ExperimentConfig:
     except ValueError:
         raise ConfigError(f"labeling.report_bins {cfg.labeling.report_bins!r} is not "
                           "a comma-separated list of positive bin counts") from None
+    if cfg.data.n_test_per_biomarker % 2:
+        raise ConfigError(f"data.n_test_per_biomarker {cfg.data.n_test_per_biomarker} "
+                          "must be even: each binary test set is half positive")
     if cfg.data.image_side not in SUPPORTED_SIDES:
         raise ConfigError(f"data.image_side {cfg.data.image_side} is unsupported; "
                           f"supported: {SUPPORTED_SIDES}")

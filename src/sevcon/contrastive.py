@@ -176,7 +176,7 @@ def pretrain(backbone: Network, head: Network, images: Array,
             loss, dz = supcon_loss_and_grad(zed, batch.labels, c.tau)
             if not np.isfinite(loss):
                 raise NumericalError("non-finite contrastive loss")
-            net.backward(normalize_rows_backward(u, zed, dz))
+            net.backward(normalize_rows_backward(u, zed, dz), input_grad=False)
             sgd_step(opt, params, net.grad_dict())
             losses.append(loss)
         curve.append(float(np.mean(losses)))

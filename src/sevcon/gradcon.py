@@ -4,6 +4,11 @@ reference-gradient bookkeeping, and severity scoring.
 The severity score of an image is its reconstruction error minus alpha times
 the alignment of its decoder gradients with the reference gradients averaged
 over healthy training. Higher score = more severe.
+
+Every pass goes through ``Autoencoder.forward/backward``, which run a batch
+in cache-sized blocks of ``models.MICRO_BATCH`` images and sum the blocks'
+parameter gradients; a single-image pass (scoring, the held-out alignment)
+is one block with the unblocked arithmetic.
 """
 
 from __future__ import annotations
@@ -104,9 +109,7 @@ def _recon_backward(model: Autoencoder, batch: Array) -> tuple[float, dict[str, 
     xhat = model.forward(batch)
     loss = reconstruction_loss(batch, xhat)
     model.backward(reconstruction_loss_grad(batch, xhat))
-    grads = {f"encoder.{k}": v for k, v in model.encoder.grad_dict().items()}
-    grads.update({f"decoder.{k}": v for k, v in model.decoder.grad_dict().items()})
-    return loss, grads
+    return loss, model.grad_dict()
 
 
 def _alignment_grad_wrt_gradients(current: list[Array],
@@ -130,7 +133,11 @@ def _constraint_update_term(model: Autoencoder, batch: Array,
                             dalign: list[Array]) -> dict[str, Array]:
     """d(L_grad)/d(theta) = H u, where H is the Hessian of the reconstruction
     loss and u embeds the per-layer alignment derivatives into decoder-weight
-    coordinates. Approximated by a central finite difference of gradients."""
+    coordinates. Approximated by the central difference
+    (g(theta + delta u) - g(theta - delta u)) / (2 delta) of the parameter
+    gradients g, two full passes, with delta = 1e-5 (1 + max|decoder weight|)
+    / |u|. The decoder weights are restored bitwise on return, also when a
+    pass raises."""
     u_norm = np.sqrt(sum(float(np.dot(d, d)) for d in dalign))
     if u_norm < 1e-12:
         _, g0 = _recon_backward(model, batch)
@@ -145,13 +152,15 @@ def _constraint_update_term(model: Autoencoder, batch: Array,
         for k, d in zip(dec_keys, dalign):
             params[k][...] = saved[k] + sign * delta * d.reshape(params[k].shape)
 
-    perturb(+1.0)
-    _, g_plus = _recon_backward(model, batch)
-    g_plus = {k: v.copy() for k, v in g_plus.items()}
-    perturb(-1.0)
-    _, g_minus = _recon_backward(model, batch)
-    for k in dec_keys:
-        params[k][...] = saved[k]
+    try:
+        perturb(+1.0)
+        _, g_plus = _recon_backward(model, batch)
+        g_plus = {k: v.copy() for k, v in g_plus.items()}
+        perturb(-1.0)
+        _, g_minus = _recon_backward(model, batch)
+    finally:
+        for k in dec_keys:
+            params[k][...] = saved[k]
     return {k: (g_plus[k] - g_minus[k]) / (2.0 * delta) for k in g_plus}
 
 

@@ -5,7 +5,8 @@ The backbone and both heads are plain ``Network`` stacks; a caller that needs
 an output width reads it from the last layer (``net.layers[-1].n_out``), and
 a backbone trained jointly with a head is ``Network(backbone.layers +
 head.layers)``, which shares the layer objects. Only the autoencoder keeps a
-class of its own, for the encoder/decoder split that gradcon scores with.
+class of its own, for the encoder/decoder split that gradcon scores with,
+and for its cache-blocked forward/backward.
 
 All builders are deterministic in (config, seed). Desk-scale defaults:
 32x32 grayscale inputs; the embedding and projection widths come from the
@@ -14,7 +15,7 @@ All builders are deterministic in (config, seed). Desk-scale defaults:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,28 +28,80 @@ from .numerics import (
     Network,
     Relu,
     Reshape,
+    ShapeError,
     Sigmoid,
 )
 
 SUPPORTED_SIDES = (32, 64)
 
+# Images per block of an autoencoder pass. At batch 32 the 16->8 decoder conv
+# alone builds a 37.7 MB column array, far beyond a 2 MB L2 cache; blocks keep
+# each layer's working set small. A 160-image gradcon epoch with one BLAS
+# thread on a 2-core VM, median of 8 round-robin runs: 83 images/s at 2, 90 at
+# 4, 85 at 8, 80 at 16.
+MICRO_BATCH = 4
+
 
 @dataclass
 class Autoencoder:
+    """Encoder/decoder pair whose passes are cache-blocked.
+
+    ``forward`` runs the batch in blocks of MICRO_BATCH images and keeps each
+    block's layer caches; ``backward`` runs the blocks last to first and
+    leaves in each layer's ``grads`` the sum over blocks. The rows of
+    ``dout`` carry the whole batch's loss scaling, so that sum is the batch
+    gradient. At <= MICRO_BATCH images a pass is one block with the
+    unblocked arithmetic. The input is data: its gradient is not computed."""
+
     encoder: Network
     decoder: Network
     image_side: int
     latent_dim: int
+    _blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def forward(self, x: Array) -> Array:
-        return self.decoder.forward(self.encoder.forward(x))
+        layers = self.encoder.layers + self.decoder.layers
+        self._blocks, out = [], []
+        # an empty batch is one empty block, as an unblocked pass would see it
+        for start in range(0, max(x.shape[0], 1), MICRO_BATCH):
+            part = x[start:start + MICRO_BATCH]
+            out.append(self.decoder.forward(self.encoder.forward(part)))
+            self._blocks.append((start, len(part), [layer._cache for layer in layers]))
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
-    def backward(self, dout: Array) -> Array:
-        return self.encoder.backward(self.decoder.backward(dout))
+    def backward(self, dout: Array) -> None:
+        if not self._blocks:
+            raise RuntimeError("autoencoder: backward called before forward")
+        start, n, _ = self._blocks[-1]
+        if dout.shape[0] != start + n:
+            raise ShapeError(f"autoencoder: dout has {dout.shape[0]} rows, "
+                             f"forward had {start + n}")
+        layers = self.encoder.layers + self.decoder.layers
+        total = None
+        # last block first: its caches are the ones most likely still cached
+        for start, n, caches in reversed(self._blocks):
+            for layer, cache in zip(layers, caches):
+                layer._cache = cache
+            self.encoder.backward(self.decoder.backward(dout[start:start + n]),
+                                  input_grad=False)
+            if total is None:
+                total = [dict(layer.grads) for layer in layers]
+            else:  # each backward assigns new grads arrays, so total's are ours
+                for sums, layer in zip(total, layers):
+                    for name, g in layer.grads.items():
+                        sums[name] += g
+        for sums, layer in zip(total, layers):
+            layer.grads.update(sums)
 
     def param_dict(self) -> dict[str, Array]:
         d = {f"encoder.{k}": v for k, v in self.encoder.named_params()}
         d.update({f"decoder.{k}": v for k, v in self.decoder.named_params()})
+        return d
+
+    def grad_dict(self) -> dict[str, Array]:
+        """Parameter gradients of the last backward pass, keyed as param_dict."""
+        d = {f"encoder.{k}": v for k, v in self.encoder.grad_dict().items()}
+        d.update({f"decoder.{k}": v for k, v in self.decoder.grad_dict().items()})
         return d
 
     def load_param_dict(self, params: dict[str, Array]):

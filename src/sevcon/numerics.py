@@ -119,7 +119,8 @@ class Conv2d(Layer):
     gradient is a forward correlation of dout, zero-padded by k-1-p, with the
     flipped, channel-swapped weights w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
     through the same column builder; at stride 2 it is a k*k strided
-    scatter-add of W^T dout."""
+    scatter-add of W^T dout. ``backward(dout, input_grad=False)`` skips the
+    input gradient and returns None, for a first layer whose input is data."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator,
                  kernel: int = 3, stride: int = 1, pad: int = 1):
@@ -148,7 +149,7 @@ class Conv2d(Layer):
         self._cache = (cols.reshape(-1, Ho * Wo), x.shape, Ho, Wo)
         return out.reshape(B, self.c_out, Ho, Wo)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         self._require_cache()
         cols, (B, _, H, W), Ho, Wo = self._cache
         k, s, p = self.kernel, self.stride, self.pad
@@ -157,6 +158,8 @@ class Conv2d(Layer):
         dmat = dout.reshape(B, self.c_out, Ho * Wo)
         self.grads["w"] = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         self.grads["b"] = dmat.sum(axis=(0, 2))
+        if not input_grad:
+            return None
         if s == 1:
             wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(self.c_in, -1)
             dcols = _columns(_pad(dout, k - 1 - p), k, 1, H, W)
@@ -276,11 +279,15 @@ class Network:
                 raise ShapeError(f"layer {i} ({layer.name}): {e}") from None
         return x
 
-    def backward(self, dout: Array) -> Array:
-        """Propagate an upstream gradient; returns the input gradient."""
-        for layer in reversed(self.layers):
+    def backward(self, dout: Array, input_grad: bool = True) -> Array | None:
+        """Propagate an upstream gradient; returns the input gradient. With
+        input_grad=False the first layer, which must then be a Conv2d, fills
+        its parameter gradients only, and None is returned."""
+        for layer in reversed(self.layers[1:]):
             dout = layer.backward(dout)
-        return dout
+        if input_grad:
+            return self.layers[0].backward(dout)
+        return self.layers[0].backward(dout, input_grad=False)
 
     def named_params(self):
         for i, layer in enumerate(self.layers):

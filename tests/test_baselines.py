@@ -59,9 +59,9 @@ def test_odin_at_t1_eps0_is_bitwise_msp(tiny_classifier):
 def test_odin_validation(tiny_classifier):
     clf, images, _ = tiny_classifier
     with pytest.raises(ValueError):
-        odin_score(clf, images[0], T=0.0)
+        odin_score(clf, images[0], T=0.0, eps=0.0014)
     with pytest.raises(ValueError):
-        odin_score(clf, images[0], eps=-1.0)
+        odin_score(clf, images[0], T=1000.0, eps=-1.0)
 
 
 def test_odin_perturbation_changes_score(tiny_classifier):

@@ -143,6 +143,9 @@ def test_exit_codes(small_run, tmp_path, capsys):
     assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
     assert main(["--run-dir", str(fresh), "--config", str(tmp_path / "missing.ini"),
                  "gen-data"]) == EXIT_CONFIG
+    bad.write_text("[data]\nn_test_per_biomarker = 5\n")  # binary test sets are half positive
+    assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    assert not (fresh / "data").exists()  # rejected before any split is written
 
     empty = tmp_path / "empty"
     cfg = tmp_path / "small.ini"

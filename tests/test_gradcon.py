@@ -1,5 +1,6 @@
 """Gradient-constrained autoencoder: losses, reference bookkeeping, the
-constraint's parameter-space gradient, and scoring purity."""
+constraint's parameter-space gradient, cache-blocked passes against unblocked
+oracles, and scoring purity."""
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from sevcon.gradcon import (
     train_gradcon,
     update_reference,
 )
-from sevcon.models import build_autoencoder
+from sevcon.models import MICRO_BATCH, build_autoencoder
 from sevcon.numerics import ShapeError, params_checksum
 
 RNG = np.random.default_rng(7)
@@ -122,6 +123,104 @@ def test_constraint_update_term_matches_fd_of_l_grad():
             ana = hv[key].ravel()[idx]
             assert abs(ana - num) < 1e-4 * max(1.0, abs(num)), \
                 f"{key}[{idx}]: analytic {ana} vs fd {num}"
+
+
+def one_pass_recon_backward(model, batch):
+    """Oracle: the loss and parameter gradients of one unblocked
+    forward/backward through the encoder and decoder networks."""
+    xhat = model.decoder.forward(model.encoder.forward(batch))
+    loss = reconstruction_loss(batch, xhat)
+    model.encoder.backward(model.decoder.backward(reconstruction_loss_grad(batch, xhat)))
+    grads = {f"encoder.{k}": v.copy() for k, v in model.encoder.grad_dict().items()}
+    grads.update({f"decoder.{k}": v.copy() for k, v in model.decoder.grad_dict().items()})
+    return loss, grads
+
+
+def two_pass_fd_term(model, batch, dec_keys, dalign):
+    """Oracle: the central difference of H u from two unblocked passes at the
+    decoder weights +delta u and -delta u."""
+    params = model.param_dict()
+    u_norm = np.sqrt(sum(float(np.dot(d, d)) for d in dalign))
+    scale = max(np.abs(params[k]).max() for k in dec_keys)
+    delta = 1e-5 * (1.0 + scale) / u_norm
+    saved = {k: params[k].copy() for k in dec_keys}
+    grads = []
+    for sign in (1.0, -1.0):
+        for k, d in zip(dec_keys, dalign):
+            params[k][...] = saved[k] + sign * delta * d.reshape(params[k].shape)
+        grads.append(one_pass_recon_backward(model, batch)[1])
+    for k in dec_keys:
+        params[k][...] = saved[k]
+    return {k: (grads[0][k] - grads[1][k]) / (2.0 * delta) for k in grads[0]}
+
+
+def constraint_setup(n):
+    """A model, an n-image batch, and a non-trivial alignment derivative."""
+    model = tiny_model()
+    batch = tiny_images(n)
+    dec_keys = [f"decoder.{i}.w" for i in model.decoder_weight_layers()]
+    _, g0 = _recon_backward(model, batch)
+    ref = ReferenceGradients()
+    update_reference(ref, [g0[k].ravel() + 0.01 * RNG.normal(size=g0[k].size)
+                           for k in dec_keys])
+    _recon_backward(model, batch)
+    dalign = _alignment_grad_wrt_gradients(decoder_weight_gradients(model), ref)
+    return model, batch, dec_keys, dalign
+
+
+def flat(grads):
+    return np.concatenate([grads[k].ravel() for k in sorted(grads)])
+
+
+def test_blocked_pass_matches_one_pass():
+    """<= 1e-12 norm-relative at 7 and 32 images; bitwise at <= MICRO_BATCH."""
+    model = tiny_model()
+    for n in (1, MICRO_BATCH, 7, 32):
+        batch = tiny_images(n)
+        loss, grads = _recon_backward(model, batch)
+        grads = {k: v.copy() for k, v in grads.items()}
+        ref_loss, ref_grads = one_pass_recon_backward(model, batch)
+        assert grads.keys() == ref_grads.keys()
+        if n <= MICRO_BATCH:
+            assert loss == ref_loss
+            for k in grads:
+                assert np.array_equal(grads[k], ref_grads[k]), f"{n} images, {k}"
+        else:
+            assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+            assert rel_err(flat(grads), flat(ref_grads)) <= 1e-12, f"{n} images"
+
+
+def test_blocked_fd_term_matches_unblocked_fd():
+    """<= 1e-7 relative per parameter tensor against two unblocked passes."""
+    for n in (7, 32):
+        model, batch, dec_keys, dalign = constraint_setup(n)
+        hv = _constraint_update_term(model, batch, dec_keys, dalign)
+        ref = two_pass_fd_term(model, batch, dec_keys, dalign)
+        assert hv.keys() == ref.keys()
+        for k in hv:  # per tensor, so a small encoder term cannot hide
+            assert rel_err(hv[k], ref[k]) <= 1e-7, f"{n} images, {k}"
+
+
+def test_constraint_update_term_restores_decoder_weights(monkeypatch):
+    model, batch, dec_keys, dalign = constraint_setup(7)
+    before = params_checksum(model.param_dict())
+    _constraint_update_term(model, batch, dec_keys, dalign)
+    assert params_checksum(model.param_dict()) == before
+
+    calls = []
+    original = model.decoder.backward
+
+    def fail_on_third_call(dout):
+        calls.append(1)
+        if len(calls) == 3:  # mid-pass, at +delta u
+            raise RuntimeError("injected failure")
+        return original(dout)
+
+    monkeypatch.setattr(model.decoder, "backward", fail_on_third_call)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        _constraint_update_term(model, batch, dec_keys, dalign)
+    assert len(calls) == 3
+    assert params_checksum(model.param_dict()) == before
 
 
 def test_severity_score_value_and_purity():

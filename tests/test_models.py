@@ -102,3 +102,14 @@ def test_normalize_rows_backward_matches_fd():
     du = normalize_rows_backward(u, z, w)
     num = central_diff(f, u.copy())
     assert rel_err(du, num) < 1e-7
+
+
+def test_autoencoder_backward_checks_its_forward():
+    model = build_autoencoder(32, 8, seed=0)
+    x = RNG.random(size=(5, 1, 32, 32))
+    with pytest.raises(RuntimeError):
+        model.backward(np.zeros_like(x))
+    xhat = model.forward(x)
+    with pytest.raises(ShapeError):  # a block's rows would be dropped or cut
+        model.backward(np.zeros_like(xhat[:4]))
+    assert model.backward(np.ones_like(xhat)) is None  # no image gradient

@@ -170,6 +170,28 @@ def test_conv_matches_direct_convolution():
             assert rel_err(a, r) <= 1e-12, f"{case}: rel err {rel_err(a, r)}"
 
 
+def test_skipped_input_gradient_leaves_parameter_gradients_bitwise():
+    """input_grad=False returns None and the same dW, db, for a Conv2d at
+    both strides and for a Network whose first layer is one."""
+    for stride in (1, 2):
+        layer = Conv2d(2, 3, RNG, stride=stride)
+        x = RNG.normal(size=(3, 2, 8, 8))
+        dout = RNG.normal(size=layer.forward(x).shape)
+        assert layer.backward(dout) is not None
+        full = dict(layer.grads)
+        assert layer.backward(dout, input_grad=False) is None
+        for name in ("w", "b"):
+            assert np.array_equal(layer.grads[name], full[name])
+    net = Network([Conv2d(1, 4, RNG), Relu(), Flatten(), Dense(4 * 6 * 6, 3, RNG)])
+    dout = RNG.normal(size=net.forward(RNG.normal(size=(2, 1, 6, 6))).shape)
+    assert net.backward(dout) is not None
+    full = dict(net.grad_dict())
+    assert net.backward(dout, input_grad=False) is None
+    assert full.keys() == net.grad_dict().keys()
+    for key, g in net.grad_dict().items():
+        assert np.array_equal(g, full[key]), key
+
+
 def test_upsample_backward_matches_block_sums():
     """Oracle: each input pixel's gradient is the sum of its f x f block."""
     layer = NearestUpsample(2)
