@@ -84,7 +84,7 @@ def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSe
             idx = order[start:start + b.classifier_batch_size]
             logits = combo_head.forward(feats[idx])
             loss, dlogits = softmax_ce_with_logits(logits, combo_idx[idx])
-            combo_head.backward(dlogits)
+            combo_head.backward(dlogits, input_grad=False)
             sgd_step(c_opt, c_params, combo_head.grad_dict())
     return SupervisedClassifier(backbone, head, combo_head, combo_classes)
 

@@ -198,6 +198,12 @@ def load_config(path: Path) -> ExperimentConfig:
     if cfg.data.n_test_per_biomarker % 2:
         raise ConfigError(f"data.n_test_per_biomarker {cfg.data.n_test_per_biomarker} "
                           "must be even: each binary test set is half positive")
+    # a SupCon step needs two sources; smaller batches or corpora train nothing
+    if cfg.contrastive.batch_size < 2:
+        raise ConfigError(f"contrastive.batch_size {cfg.contrastive.batch_size} "
+                          "must be at least 2")
+    if cfg.data.n_unlabeled < 2:
+        raise ConfigError(f"data.n_unlabeled {cfg.data.n_unlabeled} must be at least 2")
     if cfg.data.image_side not in SUPPORTED_SIDES:
         raise ConfigError(f"data.image_side {cfg.data.image_side} is unsupported; "
                           f"supported: {SUPPORTED_SIDES}")

@@ -24,56 +24,73 @@ class MultiviewBatch:
     source_ids: Array  # (2B,)
 
 
-def _bilinear_resize(img: Array, out_side: int) -> Array:
-    h, w = img.shape
-    if h == out_side and w == out_side:
-        return img.copy()
-    ys = np.linspace(0.0, h - 1.0, out_side)
-    xs = np.linspace(0.0, w - 1.0, out_side)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
-    bot = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bot * wy
-
-
-def augment(c: ContrastiveSection, image: Array, rng: np.random.Generator) -> Array:
+def augment(c: ContrastiveSection, images: Array, rng: np.random.Generator) -> Array:
     """Random resized crop, horizontal flip, brightness/contrast jitter, then
-    mean/std normalization. Output shape equals input shape."""
-    img = as_f64(image)[0]
-    side = img.shape[0]
+    mean/std normalization of a batch (N, 1, S, S); returns N views of the
+    same shape, view k from image k.
 
-    scale = rng.uniform(c.crop_scale_min, c.crop_scale_max)
-    crop = max(1, int(round(side * np.sqrt(scale))))
-    crop = min(crop, side)
-    top = rng.integers(0, side - crop + 1)
-    left = rng.integers(0, side - crop + 1)
-    img = _bilinear_resize(img[top:top + crop, left:left + crop], side)
+    Each view's parameters are drawn in turn from ``rng``, in the order scale,
+    top, left, flip, brightness, contrast. All views are then resampled at
+    once, one group per crop size: a crop of the full side is copied, any
+    other is resized bilinearly to S x S through four flat gathers, with the
+    corner weights on the grid ``linspace(0, crop - 1, S)``."""
+    imgs = as_f64(images)[:, 0]
+    n, side = imgs.shape[:2]
+    crops = np.empty(n, dtype=np.intp)
+    tops = np.empty(n, dtype=np.intp)
+    lefts = np.empty(n, dtype=np.intp)
+    flips = np.empty(n, dtype=bool)
+    shifts = np.empty(n)
+    gains = np.empty(n)
+    for k in range(n):
+        scale = rng.uniform(c.crop_scale_min, c.crop_scale_max)
+        crop = min(max(1, int(round(side * np.sqrt(scale)))), side)
+        crops[k] = crop
+        tops[k] = rng.integers(0, side - crop + 1)
+        lefts[k] = rng.integers(0, side - crop + 1)
+        flips[k] = rng.random() < c.flip_prob
+        shifts[k] = rng.uniform(-c.brightness_jitter, c.brightness_jitter)
+        gains[k] = 1.0 + rng.uniform(-c.contrast_jitter, c.contrast_jitter)
 
-    if rng.random() < c.flip_prob:
-        img = img[:, ::-1].copy()
+    out = np.empty_like(imgs)
+    flat = imgs.reshape(-1)
+    for crop in np.unique(crops).tolist():
+        group = np.flatnonzero(crops == crop)
+        if crop == side:
+            out[group] = imgs[group]
+            continue
+        grid = np.linspace(0.0, crop - 1.0, side)
+        g0 = np.floor(grid).astype(np.intp)
+        g1 = np.minimum(g0 + 1, crop - 1)
+        # flat index of (view, row, col) is (view * side + row) * side + col
+        rows = (group * side + tops[group])[:, None]
+        r0 = ((rows + g0) * side)[:, :, None]
+        r1 = ((rows + g1) * side)[:, :, None]
+        c0 = (lefts[group][:, None] + g0)[:, None, :]
+        c1 = (lefts[group][:, None] + g1)[:, None, :]
+        w = grid - g0
+        v = 1 - w
+        top = flat[r0 + c0] * v + flat[r0 + c1] * w
+        bot = flat[r1 + c0] * v + flat[r1 + c1] * w
+        out[group] = top * v[:, None] + bot * w[:, None]
 
-    img = img + rng.uniform(-c.brightness_jitter, c.brightness_jitter)
-    img = img * (1.0 + rng.uniform(-c.contrast_jitter, c.contrast_jitter))
-    img = (img - c.normalize_mean) / c.normalize_std
-    return img[None]
+    out[flips] = out[flips, :, ::-1]
+    out += shifts[:, None, None]
+    out *= gains[:, None, None]
+    out -= c.normalize_mean
+    out /= c.normalize_std
+    return out[:, None]
 
 
 def build_multiview_batch(images: Array, labels: Array, idxs: Array,
                           c: ContrastiveSection,
                           rng: np.random.Generator) -> MultiviewBatch:
     idxs = np.asarray(idxs)
-    views = [augment(c, images[i], rng) for i in idxs]
-    views += [augment(c, images[i], rng) for i in idxs]
-    lab = np.asarray(labels)[idxs]
+    both = np.concatenate([idxs, idxs])
     return MultiviewBatch(
-        views=np.stack(views),
-        labels=np.concatenate([lab, lab]),
-        source_ids=np.concatenate([idxs, idxs]),
+        views=augment(c, images[both], rng),
+        labels=np.asarray(labels)[both],
+        source_ids=both,
     )
 
 

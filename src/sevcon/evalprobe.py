@@ -132,13 +132,15 @@ def train_probe(backbone: Network, head: Network, images: Array,
     n = feats.shape[0]
     for _ in range(p.epochs):
         order = rng.permutation(n)
+        # one gather per epoch; each batch is then a slice of it
+        feats_ep, y_ep = feats[order], y[order]
         for start in range(0, n, p.batch_size):
-            idx = order[start:start + p.batch_size]
-            logits = head.forward(feats[idx])
-            loss, dlogits = bce_with_logits(logits, y[idx])
+            stop = start + p.batch_size
+            logits = head.forward(feats_ep[start:stop])
+            loss, dlogits = bce_with_logits(logits, y_ep[start:stop])
             if not np.isfinite(loss):
                 raise NumericalError("non-finite probe loss")
-            head.backward(dlogits)
+            head.backward(dlogits, input_grad=False)
             sgd_step(opt, params, head.grad_dict())
     return head
 

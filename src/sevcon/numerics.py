@@ -62,6 +62,10 @@ def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> Array:
 
 
 class Dense(Layer):
+    """Affine map x @ w + b. ``backward(dout, input_grad=False)`` fills the
+    w and b gradients only and returns None, for a head trained on fixed
+    features."""
+
     name = "dense"
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
@@ -78,11 +82,13 @@ class Dense(Layer):
         self._cache = x
         return x @ self.params["w"] + self.params["b"]
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         self._require_cache()
         x = self._cache
         self.grads["w"] = x.T @ dout
         self.grads["b"] = dout.sum(axis=0)
+        if not input_grad:
+            return None
         return dout @ self.params["w"].T
 
 
@@ -281,8 +287,8 @@ class Network:
 
     def backward(self, dout: Array, input_grad: bool = True) -> Array | None:
         """Propagate an upstream gradient; returns the input gradient. With
-        input_grad=False the first layer, which must then be a Conv2d, fills
-        its parameter gradients only, and None is returned."""
+        input_grad=False the first layer, which must then be a Conv2d or a
+        Dense, fills its parameter gradients only, and None is returned."""
         for layer in reversed(self.layers[1:]):
             dout = layer.backward(dout)
         if input_grad:
@@ -348,7 +354,8 @@ def sgd_step(state: SgdState, params: dict[str, Array], grads: dict[str, Array])
         g = grads[key]
         if g.shape != p.shape:
             raise ShapeError(f"grad {key}: shape {g.shape} != {p.shape}")
-        require_finite(g, f"gradient {key}")
+        if not np.isfinite(g).all():
+            raise NumericalError(f"non-finite values in gradient {key}")
     for key, p in params.items():
         g = grads[key]
         v = state.velocity.get(key)
@@ -378,12 +385,20 @@ def cosine_similarity(a: Array, b: Array) -> float:
 
 
 def sigmoid(x: Array) -> Array:
-    out = np.empty_like(x, dtype=np.float64)
+    return _sigmoid_and_exp(x)[0]
+
+
+def _sigmoid_and_exp(x: Array) -> tuple[Array, Array]:
+    """(sigmoid(x), e) with e = exp(-|x|), computed without a mask.
+
+    sigmoid is 1/(1+e) where x >= 0 and e/(1+e) elsewhere. Neither branch can
+    overflow, and each equals the masked definition (1/(1+exp(-x)) for
+    x >= 0, exp(x)/(1+exp(x)) otherwise) bit for bit; e takes its exponent
+    from where(x >= 0, -x, x), so a NaN keeps its sign as well."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d), e
 
 
 def softmax(logits: Array) -> Array:
@@ -396,8 +411,8 @@ def bce_with_logits(logits: Array, targets: Array) -> tuple[float, Array]:
     """Mean sigmoid binary cross-entropy; returns (loss, dloss/dlogits)."""
     l = as_f64(logits)
     y = as_f64(targets)
-    loss = np.maximum(l, 0.0) - l * y + np.log1p(np.exp(-np.abs(l)))
-    p = sigmoid(l)
+    p, e = _sigmoid_and_exp(l)
+    loss = np.maximum(l, 0.0) - l * y + np.log1p(e)
     return float(loss.mean()), (p - y) / l.size
 
 

@@ -145,6 +145,10 @@ def test_exit_codes(small_run, tmp_path, capsys):
                  "gen-data"]) == EXIT_CONFIG
     bad.write_text("[data]\nn_test_per_biomarker = 5\n")  # binary test sets are half positive
     assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    bad.write_text("[contrastive]\nbatch_size = 1\n")  # a SupCon step pairs two sources
+    assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    bad.write_text("[data]\nn_unlabeled = 1\n")  # nothing to pair for pretraining
+    assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
     assert not (fresh / "data").exists()  # rejected before any split is written
 
     empty = tmp_path / "empty"

@@ -57,6 +57,20 @@ def test_unsupported_image_side_rejected(tmp_path):
     assert load_config(path).data.image_side == 64
 
 
+def test_too_few_sources_to_pair_rejected(tmp_path):
+    """A contrastive batch or unlabeled corpus below 2 would pretrain nothing."""
+    path = tmp_path / "c.ini"
+    path.write_text("[contrastive]\nbatch_size = 1\n")
+    with pytest.raises(ConfigError, match="contrastive.batch_size 1"):
+        load_config(path)
+    path.write_text("[data]\nn_unlabeled = 1\n")
+    with pytest.raises(ConfigError, match="data.n_unlabeled 1"):
+        load_config(path)
+    path.write_text("[contrastive]\nbatch_size = 2\n[data]\nn_unlabeled = 2\n")
+    cfg = load_config(path)
+    assert (cfg.contrastive.batch_size, cfg.data.n_unlabeled) == (2, 2)
+
+
 def test_malformed_ini(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("not an ini file [ at all\n= 3")

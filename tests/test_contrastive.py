@@ -1,5 +1,5 @@
-"""Supervised contrastive loss against a brute-force oracle, augmentation
-properties, and pretraining smoke tests."""
+"""Supervised contrastive loss against a brute-force oracle, the batched
+augmentation against a per-image oracle, and pretraining smoke tests."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from conftest import rel_err
 from sevcon.config import ContrastiveSection
 from sevcon.contrastive import (
-    _bilinear_resize,
     augment,
     build_multiview_batch,
     pretrain,
@@ -119,26 +118,96 @@ def test_supcon_input_validation():
 # ---------------------------------------------------------------------------
 
 
+def bilinear_resize_oracle(img, out_side):
+    """Per-image bilinear resize of a square (h, h) crop to (out_side, out_side)."""
+    h, w = img.shape
+    if h == out_side and w == out_side:
+        return img.copy()
+    ys = np.linspace(0.0, h - 1.0, out_side)
+    xs = np.linspace(0.0, w - 1.0, out_side)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
+    bot = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def augment_oracle(c, image, rng, crops_seen=None):
+    """One view of one (1, S, S) image, drawing scale, top, left, flip,
+    brightness and contrast from rng in that order; records the crop size."""
+    img = np.asarray(image, dtype=np.float64)[0]
+    side = img.shape[0]
+    scale = rng.uniform(c.crop_scale_min, c.crop_scale_max)
+    crop = max(1, int(round(side * np.sqrt(scale))))
+    crop = min(crop, side)
+    if crops_seen is not None:
+        crops_seen.add(crop)
+    top = rng.integers(0, side - crop + 1)
+    left = rng.integers(0, side - crop + 1)
+    img = bilinear_resize_oracle(img[top:top + crop, left:left + crop], side)
+    if rng.random() < c.flip_prob:
+        img = img[:, ::-1].copy()
+    img = img + rng.uniform(-c.brightness_jitter, c.brightness_jitter)
+    img = img * (1.0 + rng.uniform(-c.contrast_jitter, c.contrast_jitter))
+    img = (img - c.normalize_mean) / c.normalize_std
+    return img[None]
+
+
+def test_multiview_batch_bitwise_equals_per_image_oracle():
+    """Every view, and the generator state after the batch, equal those of the
+    per-image loop, at two sides and crops from about 1/4 of the side to all
+    of it (the full side is an exact copy)."""
+    c = ContrastiveSection(crop_scale_min=0.05, crop_scale_max=1.0, flip_prob=0.5,
+                           brightness_jitter=0.1, contrast_jitter=0.1)
+    for side in (16, 32):
+        crops_seen = set()
+        for seed in range(12):
+            images = np.random.default_rng(100 + seed).random(size=(9, 1, side, side))
+            labels = np.arange(9) % 3
+            idxs = np.random.default_rng(seed).permutation(9)[:7]
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch = build_multiview_batch(images, labels, idxs, c, rng)
+            ref = [augment_oracle(c, images[i], ref_rng, crops_seen) for i in idxs]
+            ref += [augment_oracle(c, images[i], ref_rng, crops_seen) for i in idxs]
+            assert batch.views.shape == (14, 1, side, side)
+            assert np.array_equal(batch.views, np.stack(ref)), (side, seed)
+            assert rng.random() == ref_rng.random()  # the same number of draws
+        assert side in crops_seen and len(crops_seen) >= 8, sorted(crops_seen)
+
+
 def test_bilinear_resize_identity_and_constant():
-    img = RNG.random(size=(8, 8))
-    assert np.array_equal(_bilinear_resize(img, 8), img)
-    const = np.full((5, 5), 0.3)
-    out = _bilinear_resize(const, 9)
-    assert out.shape == (9, 9)
+    """Through augment: a full-side crop is an exact copy, and any crop of a
+    constant image resizes to the same constant."""
+    plain = ContrastiveSection(crop_scale_min=1.0, crop_scale_max=1.0, flip_prob=0.0,
+                               brightness_jitter=0.0, contrast_jitter=0.0,
+                               normalize_mean=0.0, normalize_std=1.0)
+    imgs = RNG.random(size=(3, 1, 8, 8))
+    # interpolating at whole-pixel positions would give inf * 0 = NaN next to it
+    imgs[1, 0, 3, 4] = np.inf
+    assert np.array_equal(augment(plain, imgs, np.random.default_rng(0)), imgs)
+    small = ContrastiveSection(crop_scale_min=0.2, crop_scale_max=0.6, flip_prob=0.5,
+                               brightness_jitter=0.0, contrast_jitter=0.0,
+                               normalize_mean=0.0, normalize_std=1.0)
+    out = augment(small, np.full((4, 1, 9, 9), 0.3), np.random.default_rng(1))
+    assert out.shape == (4, 1, 9, 9)
     assert np.allclose(out, 0.3)
 
 
 def test_augment_shape_normalization_and_determinism():
     c = ContrastiveSection()
-    img = RNG.random(size=(1, 16, 16))
-    v1 = augment(c, img, np.random.default_rng(5))
-    v2 = augment(c, img, np.random.default_rng(5))
-    assert v1.shape == img.shape
-    assert np.array_equal(v1, v2)  # same rng stream -> same view
+    imgs = RNG.random(size=(4, 1, 16, 16))
+    v1 = augment(c, imgs, np.random.default_rng(5))
+    v2 = augment(c, imgs, np.random.default_rng(5))
+    assert v1.shape == imgs.shape
+    assert np.array_equal(v1, v2)  # same rng stream -> same views
     # normalization: a view of an all-0.5 image with no jitter is exactly 0
     plain = ContrastiveSection(crop_scale_min=1.0, crop_scale_max=1.0, flip_prob=0.0,
                                brightness_jitter=0.0, contrast_jitter=0.0)
-    out = augment(plain, np.full((1, 16, 16), 0.5), np.random.default_rng(0))
+    out = augment(plain, np.full((2, 1, 16, 16), 0.5), np.random.default_rng(0))
     assert np.allclose(out, 0.0)
 
 
@@ -146,9 +215,9 @@ def test_augment_flip():
     c = ContrastiveSection(crop_scale_min=1.0, crop_scale_max=1.0, flip_prob=1.0,
                            brightness_jitter=0.0, contrast_jitter=0.0,
                            normalize_mean=0.0, normalize_std=1.0)
-    img = np.arange(16.0).reshape(1, 4, 4) / 16.0
-    out = augment(c, img, np.random.default_rng(0))
-    assert np.array_equal(out[0], img[0, :, ::-1])
+    imgs = np.arange(32.0).reshape(2, 1, 4, 4) / 32.0
+    out = augment(c, imgs, np.random.default_rng(0))
+    assert np.array_equal(out, imgs[:, :, :, ::-1])
 
 
 def test_build_multiview_batch_layout():

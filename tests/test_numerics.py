@@ -4,6 +4,8 @@ Every layer's analytic backward pass is checked against central finite
 differences of a scalar read-out of its forward pass.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,24 +174,30 @@ def test_conv_matches_direct_convolution():
 
 def test_skipped_input_gradient_leaves_parameter_gradients_bitwise():
     """input_grad=False returns None and the same dW, db, for a Conv2d at
-    both strides and for a Network whose first layer is one."""
-    for stride in (1, 2):
-        layer = Conv2d(2, 3, RNG, stride=stride)
-        x = RNG.normal(size=(3, 2, 8, 8))
-        dout = RNG.normal(size=layer.forward(x).shape)
+    both strides, for a Dense, and for a Network whose first layer is a
+    Conv2d or a Dense."""
+    layers = [(Conv2d(2, 3, RNG, stride=stride), (3, 2, 8, 8)) for stride in (1, 2)]
+    layers.append((Dense(5, 3, RNG), (4, 5)))
+    for layer, shape in layers:
+        dout = RNG.normal(size=layer.forward(RNG.normal(size=shape)).shape)
         assert layer.backward(dout) is not None
         full = dict(layer.grads)
         assert layer.backward(dout, input_grad=False) is None
         for name in ("w", "b"):
             assert np.array_equal(layer.grads[name], full[name])
-    net = Network([Conv2d(1, 4, RNG), Relu(), Flatten(), Dense(4 * 6 * 6, 3, RNG)])
-    dout = RNG.normal(size=net.forward(RNG.normal(size=(2, 1, 6, 6))).shape)
-    assert net.backward(dout) is not None
-    full = dict(net.grad_dict())
-    assert net.backward(dout, input_grad=False) is None
-    assert full.keys() == net.grad_dict().keys()
-    for key, g in net.grad_dict().items():
-        assert np.array_equal(g, full[key]), key
+    nets = [
+        (Network([Conv2d(1, 4, RNG), Relu(), Flatten(), Dense(4 * 6 * 6, 3, RNG)]),
+         (2, 1, 6, 6)),
+        (Network([Dense(6, 4, RNG), Relu(), Dense(4, 2, RNG)]), (5, 6)),
+    ]
+    for net, shape in nets:
+        dout = RNG.normal(size=net.forward(RNG.normal(size=shape)).shape)
+        assert net.backward(dout) is not None
+        full = dict(net.grad_dict())
+        assert net.backward(dout, input_grad=False) is None
+        assert full.keys() == net.grad_dict().keys()
+        for key, g in net.grad_dict().items():
+            assert np.array_equal(g, full[key]), key
 
 
 def test_upsample_backward_matches_block_sums():
@@ -287,6 +295,28 @@ def test_sigmoid_softmax_stable_and_correct():
     p = softmax(np.array([[1000.0, 1000.0, -1000.0]]))
     assert np.all(np.isfinite(p))
     assert p[0, 0] == pytest.approx(0.5)
+
+
+def masked_sigmoid(x):
+    """The two-branch definition, each branch evaluated on its own elements."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_definition():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-300, -1e-300])
+    normals = np.random.default_rng(7).normal(scale=4.0, size=(64, 33))
+    for x in (special, normals, normals[:, ::3]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(x)
+        ref = masked_sigmoid(x)
+        # the bytes compare equal, NaN and signed zeros included
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def test_bce_with_logits_matches_definition_and_fd():
