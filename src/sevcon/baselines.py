@@ -23,6 +23,7 @@ from .numerics import (
     SgdState,
     as_f64,
     bce_with_logits,
+    load_params,
     require_finite,
     sgd_step,
     softmax,
@@ -36,6 +37,15 @@ class SupervisedClassifier:
     multilabel_head: Network      # per-label sigmoid BCE head
     combo_head: Network           # softmax over observed label combinations
     combo_classes: Array          # (K, 5) multi-hot rows defining the classes
+
+    def param_dict(self) -> dict[str, Array]:
+        """Each network's parameters, keyed b. (backbone), h. (multilabel
+        head) or c. (combo head) and then as in Network.param_dict."""
+        parts = {"b": self.backbone, "h": self.multilabel_head, "c": self.combo_head}
+        return {f"{p}.{k}": v for p, net in parts.items() for k, v in net.named_params()}
+
+    def load_param_dict(self, params: dict[str, Array]):
+        load_params(self.param_dict(), params)
 
 
 @dataclass

@@ -89,6 +89,24 @@ def _load_artifact(path: Path, produced_by: str) -> Checkpoint:
     return _read_artifact(_require(path, produced_by), produced_by, load_checkpoint)
 
 
+def _load_model(path: Path, produced_by: str, what: str, cfg: ExperimentConfig,
+                force: bool, build):
+    """The model that `build(ckpt)` makes for a checkpoint that `sevcon
+    <produced_by>` writes, with the checkpoint's parameters loaded, once its
+    config hash is checked. A checkpoint whose parameter keys, shapes or
+    metadata do not fit the model is a missing artifact, as a missing or
+    unreadable one is."""
+    ckpt = _load_artifact(path, produced_by)
+    _check_hash(ckpt.config_hash, cfg, what, force)
+
+    def fit(_):
+        model = build(ckpt)
+        model.load_param_dict(ckpt.params)
+        return model
+
+    return _read_artifact(path, produced_by, fit)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list],
                cfg: ExperimentConfig):
     with atomic_open(path, "w", newline="") as f:
@@ -186,48 +204,44 @@ def stage_train_gradcon(run_dir: Path, cfg: ExperimentConfig, force: bool):
 
 
 def _load_gradcon(run_dir: Path, cfg: ExperimentConfig, force: bool):
-    ckpt = _load_artifact(run_dir / "gradcon" / "autoencoder.npz", "train-gradcon")
-    _check_hash(ckpt.config_hash, cfg, "gradcon autoencoder", force)
-    model = models.build_autoencoder(ckpt.extra["image_side"], ckpt.extra["latent_dim"],
-                                     ckpt.extra["model_seed"])
-    model.load_param_dict(ckpt.params)
-    rckpt = _load_artifact(run_dir / "gradcon" / "reference.npz", "train-gradcon")
-    n_layers = len(rckpt.params)
-    ref = gradcon.ReferenceGradients(
-        [rckpt.params[f"layer{i}"] for i in range(n_layers)], rckpt.extra["count"])
-    return model, ref
+    model = _load_model(run_dir / "gradcon" / "autoencoder.npz", "train-gradcon",
+                        "gradcon autoencoder", cfg, force,
+                        lambda c: models.build_autoencoder(
+                            c.extra["image_side"], c.extra["latent_dim"], c.extra["model_seed"]))
 
+    def reference(path: Path) -> gradcon.ReferenceGradients:
+        rckpt = load_checkpoint(path)
+        means = [rckpt.params[f"layer{i}"] for i in range(len(rckpt.params))]
+        if [m.shape for m in means] != [(model.decoder.layers[i].params["w"].size,)
+                                        for i in model.decoder_weight_layers()]:
+            raise ValueError("the reference gradients do not fit the autoencoder")
+        return gradcon.ReferenceGradients(means, rckpt.extra["count"])
 
-def _classifier_parts(clf: baselines.SupervisedClassifier) -> dict:
-    """Checkpoint key prefix of each network in the supervised classifier."""
-    return {"b": clf.backbone, "h": clf.multilabel_head, "c": clf.combo_head}
+    path = _require(run_dir / "gradcon" / "reference.npz", "train-gradcon")
+    return model, _read_artifact(path, "train-gradcon", reference)
 
 
 def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool):
     path = run_dir / "baselines" / "classifier.npz"
     train = _load_dataset(run_dir, "labeled_train")
     if path.exists():
-        ckpt = _load_artifact(path, "score --scorer msp")
-        _check_hash(ckpt.config_hash, cfg, "supervised classifier", force)
-        # layer widths come from the stored head weights, shaped (embedding, classes)
-        ml_w, combo_w = ckpt.params["h.0.w"], ckpt.params["c.0.w"]
-        clf = baselines.SupervisedClassifier(
-            models.build_backbone(cfg.data.image_side, ml_w.shape[0], 0),
-            models.build_classifier_head(*ml_w.shape, 0),
-            models.build_classifier_head(*combo_w.shape, 0),
-            np.array(ckpt.extra["combo_classes"], dtype=np.int64))
-        for prefix, net in _classifier_parts(clf).items():
-            net.load_param_dict({k[len(prefix) + 1:]: v for k, v in ckpt.params.items()
-                                 if k.startswith(prefix + ".")})
-        return clf, train
+        def build(ckpt: Checkpoint) -> baselines.SupervisedClassifier:
+            # layer widths come from the stored head weights, shaped (embedding, classes)
+            ml_w, combo_w = ckpt.params["h.0.w"], ckpt.params["c.0.w"]
+            return baselines.SupervisedClassifier(
+                models.build_backbone(cfg.data.image_side, ml_w.shape[0], 0),
+                models.build_classifier_head(*ml_w.shape, 0),
+                models.build_classifier_head(*combo_w.shape, 0),
+                np.array(ckpt.extra["combo_classes"], dtype=np.int64))
+
+        return _load_model(path, "score --scorer msp", "supervised classifier", cfg, force,
+                           build), train
     clf = baselines.train_supervised_classifier(train.images, train.multihot(),
                                                 cfg.contrastive, cfg.baselines,
                                                 cfg.derive_seed("classifier"))
     path.parent.mkdir(parents=True, exist_ok=True)
-    params = {f"{prefix}.{k}": v for prefix, net in _classifier_parts(clf).items()
-              for k, v in net.named_params()}
     save_checkpoint(path, Checkpoint(
-        "classifier", params, config_hash=cfg.config_hash(),
+        "classifier", clf.param_dict(), config_hash=cfg.config_hash(),
         seed=cfg.derive_seed("classifier"),
         extra={"combo_classes": clf.combo_classes.tolist()}))
     return clf, train
@@ -344,14 +358,10 @@ def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
 
 
 def _load_backbone(run_dir: Path, cfg: ExperimentConfig, tag: str, force: bool):
-    ckpt = _load_artifact(run_dir / "pretrain" / f"backbone_{tag}.npz",
-                          f"pretrain (tag {tag})")
-    _check_hash(ckpt.config_hash, cfg, f"backbone {tag}", force)
-    backbone = models.build_backbone(ckpt.extra["image_side"],
-                                     ckpt.extra["embedding_dim"],
-                                     ckpt.extra["model_seed"])
-    backbone.load_param_dict(ckpt.params)
-    return backbone
+    return _load_model(run_dir / "pretrain" / f"backbone_{tag}.npz", f"pretrain (tag {tag})",
+                       f"backbone {tag}", cfg, force,
+                       lambda c: models.build_backbone(
+                           c.extra["image_side"], c.extra["embedding_dim"], c.extra["model_seed"]))
 
 
 def stage_probe(run_dir: Path, cfg: ExperimentConfig, task: str, tag: str, force: bool):
@@ -384,12 +394,10 @@ def _load_head(run_dir: Path, cfg: ExperimentConfig, tag: str, task: str, force:
     path = run_dir / "probe" / f"head_{tag}_{task}.npz"
     if not path.exists():
         return None
-    ckpt = _load_artifact(path, f"probe --task {task} --tag {tag}")
-    _check_hash(ckpt.config_hash, cfg, f"probe head {tag}/{task}", force)
-    head = models.build_classifier_head(ckpt.extra["embedding_dim"],
-                                        ckpt.extra["output_dim"], 0)
-    head.load_param_dict(ckpt.params)
-    return head
+    return _load_model(path, f"probe --task {task} --tag {tag}",
+                       f"probe head {tag}/{task}", cfg, force,
+                       lambda c: models.build_classifier_head(
+                           c.extra["embedding_dim"], c.extra["output_dim"], 0))
 
 
 def stage_evaluate(run_dir: Path, cfg: ExperimentConfig, tag: str, force: bool):

@@ -6,7 +6,11 @@ an output width reads it from the last layer (``net.layers[-1].n_out``), and
 a backbone trained jointly with a head is ``Network(backbone.layers +
 head.layers)``, which shares the layer objects. Only the autoencoder keeps a
 class of its own, for the encoder/decoder split that gradcon scores with,
-and for its cache-blocked forward/backward.
+and for its cache-blocked forward/backward. Each decoder upsampling stage is
+one ``UpsampleConv2d``, a 2x nearest upsample and a 3x3 conv computed on the
+low-res grid, so the decoder is [Dense, Relu, Reshape, (UpsampleConv2d,
+Relu) per stage, Conv2d, Sigmoid] and its weight layers are 0, 3, 5, 7 (and
+9 at side 64).
 
 All builders are deterministic in (config, seed). Desk-scale defaults:
 32x32 grayscale inputs; the embedding and projection widths come from the
@@ -24,22 +28,24 @@ from .numerics import (
     Conv2d,
     Dense,
     Flatten,
-    NearestUpsample,
     Network,
     Relu,
     Reshape,
     ShapeError,
     Sigmoid,
+    UpsampleConv2d,
+    load_params,
 )
 
 SUPPORTED_SIDES = (32, 64)
 
-# Images per block of an autoencoder pass. At batch 32 the 16->8 decoder conv
-# alone builds a 37.7 MB column array, far beyond a 2 MB L2 cache; blocks keep
-# each layer's working set small. A 160-image gradcon epoch with one BLAS
-# thread on a 2-core VM, median of 8 round-robin runs: 83 images/s at 2, 90 at
-# 4, 85 at 8, 80 at 16.
-MICRO_BATCH = 4
+# Images per block of an autoencoder pass. The largest column arrays take
+# about 0.6 MB per image (the final 8->1 conv's, and the 16->8 upsample-conv's
+# four phases), so a block of 8 holds 4.7 MB where a batch of 32 would hold
+# 18.9 MB. A 160-image gradcon epoch with one BLAS thread on a 2-core VM,
+# median of 16 round-robin runs: 152 images/s at 4, 160 at 8, 160 at 16; at 2
+# it was 137-148 in shorter rounds.
+MICRO_BATCH = 8
 
 
 @dataclass
@@ -105,10 +111,7 @@ class Autoencoder:
         return d
 
     def load_param_dict(self, params: dict[str, Array]):
-        enc = {k[len("encoder."):]: v for k, v in params.items() if k.startswith("encoder.")}
-        dec = {k[len("decoder."):]: v for k, v in params.items() if k.startswith("decoder.")}
-        self.encoder.load_param_dict(enc)
-        self.decoder.load_param_dict(dec)
+        load_params(self.param_dict(), params)
 
     def decoder_weight_layers(self) -> list[int]:
         """Indices of decoder layers carrying a weight tensor, in order."""
@@ -143,7 +146,7 @@ def build_autoencoder(image_side: int, latent_dim: int, seed: int) -> Autoencode
     c = c_last
     for _ in range(n_down):
         c_next = max(c // 2, 8)
-        dec += [NearestUpsample(2), Conv2d(c, c_next, rng, stride=1), Relu()]
+        dec += [UpsampleConv2d(c, c_next, rng), Relu()]
         c = c_next
     dec += [Conv2d(c, 1, rng, stride=1), Sigmoid()]
 

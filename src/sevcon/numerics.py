@@ -178,34 +178,93 @@ class Conv2d(Layer):
         return dxp[:, :, p:p + H, p:p + W]
 
 
-class NearestUpsample(Layer):
-    """Nearest-neighbor 2x upsampling; paired with a conv it replaces a
-    transpose convolution."""
+# _FOLD[a, t, d] = 1 where, in output row phase a of a 3x3 conv on a 2x
+# nearest-upsampled grid, kernel row d reads low-res row offset t (see
+# UpsampleConv2d). _PHASE_FOLD[(d, e), (a, b, t, s)] folds a flattened 3x3
+# kernel into the four phases' flattened 2x2 kernels.
+_FOLD = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+_PHASE_FOLD = np.einsum("atd,bse->deabts", _FOLD, _FOLD).reshape(9, 16)
+_PHASE_TAPS = [(a, b, t, s) for a in (0, 1) for b in (0, 1) for t in (0, 1) for s in (0, 1)]
 
-    name = "nearest-upsample"
 
-    def __init__(self, factor: int = 2):
+class UpsampleConv2d(Layer):
+    """A 2x nearest upsample then a 3x3, stride-1, pad-1 convolution, run on
+    the low-res grid as four 2x2 phase convolutions (a sub-pixel convolution).
+
+    Output pixel (2i+a, 2j+b) reads upsampled rows 2i+a-1+d for kernel rows
+    d = 0, 1, 2, and upsampled row r holds low-res row floor(r/2):
+
+        phase a = 0: tap 0 reads row i-1; taps 1 and 2 both read row i
+        phase a = 1: taps 0 and 1 both read row i; tap 2 reads row i+1
+
+    Columns work the same way. So phase (a, b) is a 2x2 convolution of the
+    pad-1 low-res input read at offset (a, b), and its kernel sums the 3x3
+    taps that land on one low-res pixel: the phase kernels are w folded by
+    the 9x16 0/1 matrix _PHASE_FOLD, and dW is the phase-kernel gradient
+    folded back by its transpose. Zero padding of the upsampled grid is zero
+    padding of the low-res grid, so the output is the pair's. That is 4/9 of
+    the pair's multiply-adds, with 16*C_in*h*w column entries per image
+    instead of 36*C_in*h*w. The input gradient is a correlation of the four
+    pad-1 phase grids of dout, 2x2 columns read at offset (2-a-t, 2-b-s),
+    with the phase kernels channel-swapped: one GEMM, no scatter-add.
+
+    The parameters are those of the replaced Conv2d, w (C_out, C_in, 3, 3)
+    and b, drawn by the same call; ``backward(dout, input_grad=False)`` is as
+    in Conv2d. Named "conv2d", as a stride-1 Conv2d is."""
+
+    name = "conv2d"
+
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
-        self.factor = factor
+        self.c_in, self.c_out = c_in, c_out
+        self.params = {
+            "w": _he_uniform(rng, (c_out, c_in, 3, 3), c_in * 9),
+            "b": np.zeros(c_out),
+        }
+
+    def _phase_kernels(self) -> Array:
+        """(4, C_out, 4*C_in): phase (a, b)'s kernel, columns ordered (c, t, s)."""
+        k = (self.params["w"].reshape(-1, 9) @ _PHASE_FOLD).reshape(
+            self.c_out, self.c_in, 2, 2, 2, 2)
+        return k.transpose(2, 3, 0, 1, 4, 5).reshape(4, self.c_out, 4 * self.c_in)
 
     def forward(self, x):
-        if x.ndim != 4:
-            self._fail_shape(x.shape, "(B, C, H, W)")
-        f = self.factor
-        self._cache = x.shape
-        return x.repeat(f, axis=2).repeat(f, axis=3)
+        if x.ndim != 4 or x.shape[1] != self.c_in:
+            self._fail_shape(x.shape, f"(B, {self.c_in}, H, W)")
+        B, C, H, W = x.shape
+        xp = _pad(x, 1)
+        cols = np.empty((B, 2, 2, C, 2, 2, H, W))
+        for a, b, t, s in _PHASE_TAPS:
+            cols[:, a, b, :, t, s] = xp[:, :, a + t:a + t + H, b + s:b + s + W]
+        cols = cols.reshape(B, 4, 4 * C, H * W)
+        k = self._phase_kernels()
+        out = np.matmul(k, cols).reshape(B, 2, 2, self.c_out, H, W)
+        # interleave the phases: out[n, a, b, c, i, j] lands on pixel (2i+a, 2j+b)
+        out = out.transpose(0, 3, 4, 1, 5, 2).reshape(B, self.c_out, 2 * H, 2 * W)
+        out += self.params["b"][:, None, None]
+        self._cache = (cols, k, x.shape)
+        return out
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         self._require_cache()
-        f = self.factor
-        # each f x f block sum, as strided slices: across columns, then rows
-        dcols = dout[:, :, :, 0::f]
-        for j in range(1, f):
-            dcols = dcols + dout[:, :, :, j::f]
-        dx = dcols[:, :, 0::f]
-        for i in range(1, f):
-            dx = dx + dcols[:, :, i::f]
-        return dx
+        cols, k, (B, C, H, W) = self._cache
+        # the four phase grids of dout, (B, 4, C_out, H*W)
+        dmat = dout.reshape(B, self.c_out, H, 2, W, 2).transpose(0, 3, 5, 1, 2, 4).reshape(
+            B, 4, self.c_out, H * W)
+        dk = np.matmul(dmat, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+        dk = dk.reshape(2, 2, self.c_out, C, 2, 2).transpose(2, 3, 0, 1, 4, 5)
+        self.grads["w"] = (dk.reshape(-1, 16) @ _PHASE_FOLD.T).reshape(self.params["w"].shape)
+        self.grads["b"] = dmat.sum(axis=(0, 1, 3))
+        if not input_grad:
+            return None
+        dpad = np.zeros((B, 2, 2, self.c_out, H + 2, W + 2))
+        dpad[..., 1:H + 1, 1:W + 1] = dmat.reshape(B, 2, 2, self.c_out, H, W)
+        dcols = np.empty((B, 2, 2, self.c_out, 2, 2, H, W))
+        for a, b, t, s in _PHASE_TAPS:
+            r, c = 2 - a - t, 2 - b - s
+            dcols[:, a, b, :, t, s] = dpad[:, a, b, :, r:r + H, c:c + W]
+        kt = k.reshape(2, 2, self.c_out, C, 2, 2).transpose(3, 0, 1, 2, 4, 5).reshape(C, -1)
+        return np.matmul(kt, dcols.reshape(B, -1, H * W)).reshape(B, C, H, W)
 
 
 class Relu(Layer):
@@ -309,12 +368,22 @@ class Network:
                 for n, g in layer.grads.items()}
 
     def load_param_dict(self, params: dict[str, Array]):
-        for key, value in params.items():
-            idx, name = key.split(".", 1)
-            target = self.layers[int(idx)].params[name]
-            if target.shape != value.shape:
-                raise ShapeError(f"param {key}: shape {value.shape} != {target.shape}")
-            target[...] = value
+        load_params(self.param_dict(), params)
+
+
+def load_params(targets: dict[str, Array], params: dict[str, Array]):
+    """Copy ``params`` into ``targets`` in place. Both must have the same keys
+    and each array its target's shape; otherwise a ShapeError is raised
+    before anything is copied."""
+    if params.keys() != targets.keys():
+        missing = sorted(targets.keys() - params.keys())
+        unknown = sorted(params.keys() - targets.keys())
+        raise ShapeError(f"parameter keys differ: missing {missing}, unknown {unknown}")
+    for key, target in targets.items():
+        if target.shape != params[key].shape:
+            raise ShapeError(f"param {key}: shape {params[key].shape} != {target.shape}")
+    for key, target in targets.items():
+        target[...] = params[key]
 
 
 def params_checksum(params: dict[str, Array]) -> str:

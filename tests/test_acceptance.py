@@ -52,7 +52,7 @@ def test_criterion_1_gradients(verdict):
         (numerics.Dense(5, 4, rng), rng.normal(size=(3, 5))),
         (numerics.Conv2d(2, 3, rng, stride=1), rng.normal(size=(2, 2, 8, 8))),
         (numerics.Conv2d(2, 3, rng, stride=2), rng.normal(size=(2, 2, 8, 8))),
-        (numerics.NearestUpsample(2), rng.normal(size=(2, 2, 4, 4))),
+        (numerics.UpsampleConv2d(2, 3, rng), rng.normal(size=(2, 2, 4, 4))),
         (numerics.Relu(), rng.normal(size=(3, 6)) + np.sign(rng.normal(size=(3, 6))) * 0.2),
         (numerics.Sigmoid(), rng.normal(size=(3, 6))),
         (numerics.Flatten(), rng.normal(size=(2, 2, 4, 4))),

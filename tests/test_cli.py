@@ -2,12 +2,13 @@
 
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sevcon import baselines
-from sevcon.checkpoint import load_checkpoint
+from sevcon.checkpoint import load_checkpoint, save_checkpoint
 from sevcon.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main
 
 SMALL_INI = """\
@@ -132,6 +133,15 @@ def test_rerun_stage_is_deterministic(small_run):
     assert (run / "scores" / "severity.csv").read_bytes() == before
 
 
+def pre_fusion_key(key):
+    """An autoencoder parameter key as it was when each decoder stage was an
+    upsample layer and a conv layer: decoder layers 3, 5, 7 were 4, 7, 9."""
+    net, idx, name = key.split(".")
+    if net == "decoder":
+        idx = {"3": "4", "5": "7", "7": "9"}.get(idx, idx)
+    return f"{net}.{idx}.{name}"
+
+
 def test_exit_codes(small_run, tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[gradcon]\nepochs = many\n")
@@ -179,6 +189,35 @@ def test_exit_codes(small_run, tmp_path, capsys):
     table.write_bytes(earlier)
     assert main(["--run-dir", str(run), "report"]) == EXIT_MISSING
     assert table.read_bytes() == earlier  # the label check comes before any write
+    # checkpoints whose parameters do not fit the model: the whole key set and
+    # every shape must match, and the damaged file names the stage to rerun
+    ae = load_checkpoint(run / "gradcon" / "autoencoder.npz").params
+    damaged = [
+        ("gradcon/autoencoder.npz", "train-gradcon", ["score"],
+         {k: v for k, v in ae.items() if k != "decoder.7.w"}),
+        ("gradcon/autoencoder.npz", "train-gradcon", ["score"],
+         dict(ae, **{"decoder.3.w": ae["decoder.3.w"][:, :8]})),
+        # the layout before each decoder upsample + conv pair was fused
+        ("gradcon/autoencoder.npz", "train-gradcon", ["score"],
+         {pre_fusion_key(k): v for k, v in ae.items()}),
+        ("gradcon/reference.npz", "train-gradcon", ["score"], {"layer0": np.zeros(3)}),
+        ("baselines/classifier.npz", "score --scorer msp", ["score", "--scorer", "msp"], None),
+        ("pretrain/backbone_simclr.npz", "pretrain (tag simclr)",
+         ["probe", "--task", "bio_a", "--tag", "simclr"], None),
+        ("probe/head_simclr_bio_a.npz", "probe --task bio_a --tag simclr",
+         ["evaluate", "--tag", "simclr"], None),
+    ]
+    for rel, produced_by, args, params in damaged:
+        path = run / rel
+        intact = path.read_bytes()
+        ckpt = load_checkpoint(path)
+        if params is None:  # drop the last parameter
+            params = dict(list(ckpt.params.items())[:-1])
+        save_checkpoint(path, replace(ckpt, params=params))
+        capsys.readouterr()
+        assert main(["--run-dir", str(run), *args]) == EXIT_MISSING, rel
+        assert f"rerun `sevcon {produced_by}`" in capsys.readouterr().err, rel
+        path.write_bytes(intact)
     ckpt = run / "gradcon" / "autoencoder.npz"
     ckpt.write_bytes(ckpt.read_bytes()[:100])
     assert main(["--run-dir", str(run), "score"]) == EXIT_MISSING

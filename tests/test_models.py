@@ -6,15 +6,58 @@ import pytest
 
 from conftest import central_diff, rel_err
 from sevcon.models import (
+    MICRO_BATCH,
     build_autoencoder,
     build_backbone,
     build_classifier_head,
     build_projection_head,
     normalize_rows_backward,
 )
-from sevcon.numerics import ShapeError, params_checksum
+from sevcon.numerics import (
+    Conv2d,
+    Dense,
+    Flatten,
+    Network,
+    Relu,
+    Reshape,
+    ShapeError,
+    Sigmoid,
+    params_checksum,
+)
+
+from test_numerics import NearestUpsample
 
 RNG = np.random.default_rng(3)
+
+
+def unfused_autoencoder(image_side, latent_dim, seed):
+    """(encoder, decoder) as build_autoencoder made them with an unfused
+    nearest upsample and 3x3 conv per decoder stage, and the map from each
+    of this decoder's parameter keys to the fused decoder's."""
+    rng = np.random.default_rng(seed)
+    n_down = 2 if image_side == 32 else 3
+    grid = image_side // (2 ** n_down)
+    enc = [Conv2d(1, 8, rng, stride=1), Relu()]
+    c = 8
+    for _ in range(n_down):
+        c_next = min(c * 2, 32)
+        enc += [Conv2d(c, c_next, rng, stride=2), Relu()]
+        c = c_next
+    c_last = c
+    enc += [Flatten(), Dense(c_last * grid * grid, latent_dim, rng)]
+    dec = [Dense(latent_dim, c_last * grid * grid, rng), Relu(), Reshape((c_last, grid, grid))]
+    # a conv that follows k upsample layers sits k places earlier once fused
+    layer_map = {0: 0}
+    for k in range(n_down):
+        c_next = max(c // 2, 8)
+        dec += [NearestUpsample(2), Conv2d(c, c_next, rng, stride=1), Relu()]
+        layer_map[len(dec) - 2] = len(dec) - 2 - (k + 1)
+        c = c_next
+    dec += [Conv2d(c, 1, rng, stride=1), Sigmoid()]
+    layer_map[len(dec) - 2] = len(dec) - 2 - n_down
+    keys = {f"decoder.{old}.{n}": f"decoder.{new}.{n}"
+            for old, new in layer_map.items() for n in ("w", "b")}
+    return Network(enc), Network(dec), keys
 
 
 def test_builders_deterministic_in_seed():
@@ -66,9 +109,27 @@ def test_param_dict_round_trip():
 
 def test_load_param_dict_shape_error():
     model = build_autoencoder(32, 8, seed=0)
-    bad = {k: np.zeros(v.shape + (1,)) for k, v in list(model.param_dict().items())[:1]}
-    with pytest.raises(ShapeError):
+    before = params_checksum(model.param_dict())
+    bad = {k: v.copy() + 1.0 for k, v in model.param_dict().items()}
+    bad["decoder.7.w"] = np.zeros(bad["decoder.7.w"].shape + (1,))
+    with pytest.raises(ShapeError, match="decoder.7.w"):
         model.load_param_dict(bad)
+    assert params_checksum(model.param_dict()) == before  # nothing was copied
+
+
+def test_load_param_dict_requires_the_exact_key_set():
+    model = build_autoencoder(32, 8, seed=0)
+    before = params_checksum(model.param_dict())
+    full = {k: v.copy() + 1.0 for k, v in model.param_dict().items()}
+    missing = {k: v for k, v in full.items() if k != "decoder.7.w"}
+    unknown = dict(full, **{"decoder.9.w": full["decoder.7.w"]})
+    for params in (missing, unknown):
+        with pytest.raises(ShapeError, match="parameter keys differ"):
+            model.load_param_dict(params)
+        assert params_checksum(model.param_dict()) == before
+    head = build_classifier_head(4, 2, seed=0)
+    with pytest.raises(ShapeError, match=r"missing \['0.b'\]"):
+        head.load_param_dict({"0.w": np.zeros((4, 2))})
 
 
 def test_backbone_and_heads_shapes():
@@ -113,3 +174,41 @@ def test_autoencoder_backward_checks_its_forward():
     with pytest.raises(ShapeError):  # a block's rows would be dropped or cut
         model.backward(np.zeros_like(xhat[:4]))
     assert model.backward(np.ones_like(xhat)) is None  # no image gradient
+
+
+def test_fused_decoder_matches_unfused_oracle():
+    """The built autoencoder starts with the unfused builder's weights, bit
+    for bit, and with those weights shared, its output and every parameter
+    gradient match the unfused network's at <= 1e-12 norm-relative, for
+    blocked and unblocked batches."""
+    rng = np.random.default_rng(11)
+    for side, counts in ((32, (1, 4, 7, MICRO_BATCH + 3, 32)), (64, (1, 5))):
+        model = build_autoencoder(side, 8, seed=4)
+        encoder, decoder, keys = unfused_autoencoder(side, 8, seed=4)
+        oracle = {f"encoder.{k}": v for k, v in encoder.named_params()}
+        oracle.update({keys[f"decoder.{k}"]: v for k, v in decoder.named_params()})
+        params = model.param_dict()
+        assert oracle.keys() == params.keys()
+        for key, value in params.items():
+            assert value.tobytes() == oracle[key].tobytes(), key
+            value += 0.05 * rng.normal(size=value.shape)  # nonzero biases as well
+        # share: the oracle's layers hold the built model's arrays
+        for net, prefix in ((encoder, "encoder."), (decoder, "decoder.")):
+            for i, layer in enumerate(net.layers):
+                for name in layer.params:
+                    key = f"{prefix}{i}.{name}"
+                    layer.params[name] = params[keys.get(key, key)]
+        for n in counts:
+            x = rng.random(size=(n, 1, side, side))
+            dout = rng.normal(size=x.shape)
+            out = model.forward(x)
+            model.backward(dout)
+            grads = {k: g.copy() for k, g in model.grad_dict().items()}
+            ref = decoder.forward(encoder.forward(x))
+            encoder.backward(decoder.backward(dout), input_grad=False)
+            ref_grads = {f"encoder.{k}": g for k, g in encoder.grad_dict().items()}
+            ref_grads.update({keys[f"decoder.{k}"]: g for k, g in decoder.grad_dict().items()})
+            assert rel_err(out, ref) <= 1e-12, (side, n)
+            assert grads.keys() == ref_grads.keys()
+            for key, g in grads.items():
+                assert rel_err(g, ref_grads[key]) <= 1e-12, (side, n, key)

@@ -16,7 +16,7 @@ from sevcon.numerics import (
     Conv2d,
     Dense,
     Flatten,
-    NearestUpsample,
+    Layer,
     Network,
     NumericalError,
     Relu,
@@ -24,6 +24,7 @@ from sevcon.numerics import (
     SgdState,
     ShapeError,
     Sigmoid,
+    UpsampleConv2d,
     bce_with_logits,
     cosine_similarity,
     params_checksum,
@@ -35,6 +36,36 @@ from sevcon.numerics import (
 )
 
 RNG = np.random.default_rng(0)
+
+
+class NearestUpsample(Layer):
+    """Nearest-neighbor 2x upsampling, the first half of the pair that
+    UpsampleConv2d fuses; kept here as its oracle."""
+
+    name = "nearest-upsample"
+
+    def __init__(self, factor: int = 2):
+        super().__init__()
+        self.factor = factor
+
+    def forward(self, x):
+        if x.ndim != 4:
+            self._fail_shape(x.shape, "(B, C, H, W)")
+        f = self.factor
+        self._cache = x.shape
+        return x.repeat(f, axis=2).repeat(f, axis=3)
+
+    def backward(self, dout):
+        self._require_cache()
+        f = self.factor
+        # each f x f block sum, as strided slices: across columns, then rows
+        dcols = dout[:, :, :, 0::f]
+        for j in range(1, f):
+            dcols = dcols + dout[:, :, :, j::f]
+        dx = dcols[:, :, 0::f]
+        for i in range(1, f):
+            dx = dx + dcols[:, :, i::f]
+        return dx
 
 
 def scalar_readout(shape, seed=1):
@@ -83,6 +114,14 @@ def test_upsample_gradients():
     check_layer_input_grad(layer, x)
 
 
+def test_upsample_conv2d_gradients():
+    layer = UpsampleConv2d(2, 3, RNG)
+    layer.params["b"] = RNG.normal(size=3)
+    x = RNG.normal(size=(2, 2, 4, 5))
+    check_layer_input_grad(layer, x)
+    check_layer_param_grads(layer, x)
+
+
 def test_relu_gradients():
     layer = Relu()
     # keep activations away from the kink at 0
@@ -122,6 +161,10 @@ def test_shape_errors():
         Conv2d(2, 3, RNG).forward(np.zeros((1, 1, 8, 8)))
     with pytest.raises(ShapeError):
         Reshape((2, 2)).forward(np.zeros((1, 5)))
+    with pytest.raises(ShapeError):
+        UpsampleConv2d(2, 3, RNG).forward(np.zeros((1, 3, 4, 4)))
+    with pytest.raises(ShapeError):
+        UpsampleConv2d(2, 3, RNG).forward(np.zeros((2, 4, 4)))
 
 
 def direct_conv(x, w, b, stride, pad, dout):
@@ -172,11 +215,39 @@ def test_conv_matches_direct_convolution():
             assert rel_err(a, r) <= 1e-12, f"{case}: rel err {rel_err(a, r)}"
 
 
+def test_upsample_conv_matches_upsample_then_direct_convolution():
+    """Oracle: forward, dW, db and dX of the fused layer against a nearest
+    upsample followed by the nested-loop convolution, batch 3."""
+    cases = [
+        (1, 4, 4, 4),   # one input channel
+        (3, 1, 4, 4),   # one output channel
+        (2, 3, 1, 1),   # side 1: each output pixel reads the one input pixel and padding
+        (2, 3, 3, 5),   # non-square
+        (4, 2, 5, 2),
+    ]
+    for c_in, c_out, h, w in cases:
+        layer = UpsampleConv2d(c_in, c_out, RNG)
+        layer.params["b"] = RNG.normal(size=c_out)
+        x = RNG.normal(size=(3, c_in, h, w))
+        out = layer.forward(x)
+        dout = RNG.normal(size=out.shape)
+        dx = layer.backward(dout)
+        up = NearestUpsample(2)
+        ref = direct_conv(up.forward(x), layer.params["w"], layer.params["b"], 1, 1, dout)
+        ref = ref[:3] + (up.backward(ref[3]),)
+        got = (out, layer.grads["w"], layer.grads["b"], dx)
+        for what, a, r in zip(("forward", "dW", "db", "dX"), got, ref):
+            case = f"{what} at c_in={c_in} c_out={c_out} input {h}x{w}"
+            assert a.shape == r.shape, case
+            assert rel_err(a, r) <= 1e-12, f"{case}: rel err {rel_err(a, r)}"
+
+
 def test_skipped_input_gradient_leaves_parameter_gradients_bitwise():
     """input_grad=False returns None and the same dW, db, for a Conv2d at
-    both strides, for a Dense, and for a Network whose first layer is a
-    Conv2d or a Dense."""
+    both strides, for an UpsampleConv2d, for a Dense, and for a Network whose
+    first layer is a Conv2d or a Dense."""
     layers = [(Conv2d(2, 3, RNG, stride=stride), (3, 2, 8, 8)) for stride in (1, 2)]
+    layers.append((UpsampleConv2d(2, 3, RNG), (3, 2, 4, 5)))
     layers.append((Dense(5, 3, RNG), (4, 5)))
     for layer, shape in layers:
         dout = RNG.normal(size=layer.forward(RNG.normal(size=shape)).shape)
@@ -201,7 +272,8 @@ def test_skipped_input_gradient_leaves_parameter_gradients_bitwise():
 
 
 def test_upsample_backward_matches_block_sums():
-    """Oracle: each input pixel's gradient is the sum of its f x f block."""
+    """Oracle check of the oracle: each input pixel's gradient is the sum of
+    its f x f block."""
     layer = NearestUpsample(2)
     layer.forward(RNG.normal(size=(3, 2, 5, 4)))
     dout = RNG.normal(size=(3, 2, 10, 8))
