@@ -16,7 +16,9 @@ Run nothing else alongside it. The output holds, per workload and
 end-to-end metric, both sides' medians, quartiles and per-seed values, the
 change's wins and ties, the quality figures that a results-preserving change
 must reproduce per seed, the stage-call counts, and the machine and BLAS
-record. Exits 1 if a run gives no result or a stage call fails.
+record. Exits 1 if a run gives no result, gives a result without metrics
+(its set-up failed; it is named, and its pair is left out of the
+comparisons), or a stage call fails.
 """
 
 from __future__ import annotations
@@ -159,17 +161,28 @@ def main(argv: list[str] | None = None) -> int:
            "claim": None, "workloads": {}}
     failed = 0
     for wl in workloads:
-        sides = runs[wl]
+        # a run whose set-up failed prints no metrics; it is named, and the
+        # pairs it belongs to are left out of that workload's comparisons
+        bad = [k for k in range(len(args.seeds))
+               if any(not runs[wl][s][k]["metrics"] for s in SIDES)]
+        for k in bad:
+            for s in SIDES:
+                if not runs[wl][s][k]["metrics"]:
+                    print(f"{wl} seed {args.seeds[k]} {s}: no metrics", file=sys.stderr)
+        failed += len(bad)
+        sides = {s: [r for k, r in enumerate(runs[wl][s]) if k not in bad] for s in SIDES}
         block = {"seeds": args.seeds,
                  "first_in_pair": [SIDES[k % 2] for k in range(len(args.seeds))],
-                 "stage_calls": {s: {"attempted": sum(r["attempted"] for r in sides[s]),
-                                     "failed": sum(r["failed"] for r in sides[s])}
+                 "seeds_without_metrics": [args.seeds[k] for k in bad],
+                 "stage_calls": {s: {"attempted": sum(r["attempted"] for r in runs[wl][s]),
+                                     "failed": sum(r["failed"] for r in runs[wl][s])}
                                  for s in SIDES},
                  "metrics": {}, "quality": {}}
         failed += sum(block["stage_calls"][s]["failed"] for s in SIDES)
         for m in spec["end_to_end"]:
             values = {s: [r["metrics"][m["name"]]["value"] for r in sides[s]] for s in SIDES}
-            block["metrics"][m["name"]] = compare(m, values["parent"], values["change"])
+            if len(values["parent"]) >= 2:
+                block["metrics"][m["name"]] = compare(m, values["parent"], values["change"])
         for q in QUALITY:
             values = {s: [r["quality"].get(q) for r in sides[s]] for s in SIDES}
             if all(v is None for v in values["parent"]):
@@ -180,11 +193,11 @@ def main(argv: list[str] | None = None) -> int:
         out["workloads"][wl] = block
     if args.claim:
         wl, metric = args.claim.split(":")
-        m = out["workloads"][wl]["metrics"][metric]
+        m = out["workloads"][wl]["metrics"].get(metric)
         out["claim"] = {"workload": wl, "metric": metric,
                         "rule": "change wins >= 9 of 10 pairs and the median gap exceeds "
                                 "the parent's quartile distance",
-                        "result": claim_result(m)}
+                        "result": claim_result(m) if m else None}
     path = args.change / f"BENCH_pr{args.pr}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     for wl, block in out["workloads"].items():

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import BaselinesSection, ContrastiveSection, ProbeSection
 from .contrastive import pretrain
-from .evalprobe import evaluate, train_probe
+from .evalprobe import EMBED_BLOCK, _embed_all, evaluate, train_probe
 from .labeling import assign_severity_labels
 from .models import build_backbone, build_classifier_head, build_projection_head
 from .numerics import (
@@ -99,41 +99,54 @@ def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSe
     return SupervisedClassifier(backbone, head, combo_head, combo_classes)
 
 
-def classifier_logits(clf: SupervisedClassifier, x: Array) -> Array:
-    """Combo-class softmax logits for one image."""
-    batch = x[None] if x.ndim == 3 else x
-    return clf.combo_head.forward(clf.backbone.forward(batch))[0]
-
-
-def msp_from_logits(logits: Array) -> float:
+def msp_from_logits(logits: Array) -> Array:
+    """Max softmax probability of a logit vector (a float), or of each row of
+    an (N, K) logit matrix."""
     logits = as_f64(logits)
-    if logits.size < 2:
+    if logits.shape[-1] < 2:
         raise ValueError("msp needs at least 2 logits")
     require_finite(logits, "msp logits")
-    return float(softmax(logits).max())
+    return softmax(logits).max(axis=-1)
+
+
+def _one_image(x: Array) -> Array:
+    return as_f64(x)[None] if x.ndim == 3 else as_f64(x)
+
+
+def _msp_scores(clf: SupervisedClassifier, images: Array) -> Array:
+    return -msp_from_logits(clf.combo_head.forward(_embed_all(clf.backbone, as_f64(images))))
+
+
+def _odin_scores(clf: SupervisedClassifier, images: Array, T: float, eps: float) -> Array:
+    """ODIN per image, in blocks of EMBED_BLOCK rows. The backward of the
+    summed (not mean) cross-entropy gives each row its own input gradient.
+    The perturbed embeddings are scored as _msp_scores scores embeddings,
+    so at T=1 and eps=0 the two are bitwise equal."""
+    if T <= 0:
+        raise ValueError("T must be positive")
+    if eps < 0:
+        raise ValueError("eps must be non-negative")
+    images = as_f64(images)
+    feats = []
+    for start in range(0, images.shape[0], EMBED_BLOCK):
+        x = images[start:start + EMBED_BLOCK]
+        logits = clf.combo_head.forward(clf.backbone.forward(x))
+        _, dlogits = softmax_ce_with_logits(logits / T, np.argmax(logits, axis=1))
+        dx = clf.backbone.backward(clf.combo_head.backward(dlogits * len(x) / T))
+        require_finite(dx, "odin input gradient")
+        feats.append(clf.backbone.forward(x - eps * np.sign(dx)))
+    return -msp_from_logits(clf.combo_head.forward(np.concatenate(feats)) / T)
 
 
 def msp_score(clf: SupervisedClassifier, x: Array) -> float:
     """Anomaly score: -max softmax probability (higher = more anomalous)."""
-    return -msp_from_logits(classifier_logits(clf, x))
+    return float(_msp_scores(clf, _one_image(x))[0])
 
 
 def odin_score(clf: SupervisedClassifier, x: Array, T: float, eps: float) -> float:
     """Perturb the input against the temperature-scaled cross-entropy gradient
     at the predicted class, then score with the temperature-scaled MSP."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    batch = as_f64(x)[None] if x.ndim == 3 else as_f64(x)
-    logits = clf.combo_head.forward(clf.backbone.forward(batch))
-    pred = np.array([int(np.argmax(logits[0]))])
-    _, dlogits = softmax_ce_with_logits(logits / T, pred)
-    dx = clf.backbone.backward(clf.combo_head.backward(dlogits / T))
-    require_finite(dx, "odin input gradient")
-    x_pert = batch - eps * np.sign(dx)
-    logits_pert = clf.combo_head.forward(clf.backbone.forward(x_pert))[0]
-    return -msp_from_logits(logits_pert / T)
+    return float(_odin_scores(clf, _one_image(x), T, eps)[0])
 
 
 def fit_gaussian_stats(features: Array, class_idx: Array,
@@ -154,35 +167,36 @@ def fit_gaussian_stats(features: Array, class_idx: Array,
     return GaussianClassStats(means, cov, np.linalg.inv(cov), epsilon)
 
 
+def _mahalanobis_scores(stats: GaussianClassStats, features: Array) -> Array:
+    """Per row of (N, d) features: min over classes of (f - mu)^T Sigma^-1 (f - mu)."""
+    if features.shape[1] != stats.means.shape[1]:
+        raise ValueError(f"feature dim {features.shape[1]} != {stats.means.shape[1]}")
+    diffs = stats.means - features[:, None, :]
+    return np.einsum("nke,nke->nk", diffs @ stats.cov_inv, diffs).min(axis=1)
+
+
 def mahalanobis_score(stats: GaussianClassStats, feature: Array) -> float:
     """min over classes of (f - mu)^T Sigma^-1 (f - mu); higher = more anomalous."""
-    f = as_f64(feature).ravel()
-    if f.size != stats.means.shape[1]:
-        raise ValueError(f"feature dim {f.size} != {stats.means.shape[1]}")
-    diffs = stats.means - f
-    d2 = np.einsum("kd,de,ke->k", diffs, stats.cov_inv, diffs)
-    return float(d2.min())
+    return float(_mahalanobis_scores(stats, as_f64(feature).reshape(1, -1))[0])
 
 
 def score_corpus(clf: SupervisedClassifier, images: Array, scorer: str,
                  b: BaselinesSection, train_images: Array | None = None,
                  train_multihot: Array | None = None) -> Array:
-    """Anomaly scores for a whole corpus with the named baseline scorer."""
-    n = images.shape[0]
+    """Anomaly scores for a whole corpus with the named baseline scorer, each
+    computed over blocks of EMBED_BLOCK images."""
     if scorer == "msp":
-        return np.array([msp_score(clf, images[i]) for i in range(n)])
+        return _msp_scores(clf, images)
     if scorer == "odin":
-        return np.array([odin_score(clf, images[i], b.odin_temperature, b.odin_epsilon)
-                         for i in range(n)])
+        return _odin_scores(clf, images, b.odin_temperature, b.odin_epsilon)
     if scorer == "mahalanobis":
         if train_images is None or train_multihot is None:
             raise ValueError("mahalanobis needs the labeled training data")
-        feats = clf.backbone.forward(as_f64(train_images))
+        feats = _embed_all(clf.backbone, as_f64(train_images))
         _, combo_idx = np.unique(as_f64(train_multihot).astype(np.int64),
                                  axis=0, return_inverse=True)
         stats = fit_gaussian_stats(feats, combo_idx, b.mahalanobis_epsilon)
-        corpus_feats = clf.backbone.forward(as_f64(images))
-        return np.array([mahalanobis_score(stats, corpus_feats[i]) for i in range(n)])
+        return _mahalanobis_scores(stats, _embed_all(clf.backbone, as_f64(images)))
     raise ValueError(f"unknown scorer {scorer!r}")
 
 

@@ -66,11 +66,16 @@ def save_checkpoint(path: Path, ckpt: Checkpoint):
 
 def load_checkpoint(path: Path) -> Checkpoint:
     """Read a checkpoint. Files from older writers may also carry optimizer
-    velocities (``vel:`` arrays, ``optimizer_keys`` meta); they are ignored."""
+    velocities (``vel:`` arrays, ``optimizer_keys`` meta); they are ignored.
+    A parameter holding a NaN or an infinity is a ``ValueError``: no stage
+    writes one, and nothing computed from it is usable."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format {meta['format_version']}")
         params = {k: data[f"param:{k}"] for k in meta["param_keys"]}
+    for k, v in params.items():
+        if not np.isfinite(v).all():
+            raise ValueError(f"non-finite values in parameter {k}")
     return Checkpoint(meta["kind"], params, meta["epoch"],
                       meta["config_hash"], meta["seed"], meta.get("extra", {}))

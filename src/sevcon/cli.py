@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines, contrastive, evalprobe, gradcon, labeling, models, synthdata
 from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, load_config
-from .numerics import NumericalError
+from .numerics import NumericalError, require_finite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -266,6 +266,7 @@ def _score_corpus(run_dir: Path, cfg: ExperimentConfig, scorer: str, force: bool
 
 def stage_score(run_dir: Path, cfg: ExperimentConfig, scorer: str, force: bool):
     _, rows = _score_corpus(run_dir, cfg, scorer, force)
+    require_finite([r[3] for r in rows], f"{scorer} scores")
     out = run_dir / "scores"
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / f"{scorer}.csv", ["sample_id", "l_recon", "l_grad", "severity"],

@@ -93,10 +93,13 @@ def roc_auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Images per backbone forward when a whole corpus is embedded or scored.
+EMBED_BLOCK = 256
+
+
 def _embed_all(backbone: Network, images: Array,
-               normalize: tuple[float, float] | None = None,
-               batch_size: int = 256) -> Array:
-    """Embed a corpus with the frozen backbone.
+               normalize: tuple[float, float] | None = None) -> Array:
+    """Embed a corpus with the frozen backbone, EMBED_BLOCK images at a time.
 
     `normalize=(mean, std)` applies the same pixel normalization the backbone
     saw during pretraining; feeding un-normalized images to a backbone trained
@@ -106,8 +109,8 @@ def _embed_all(backbone: Network, images: Array,
         mean, std = normalize
         images = (images - mean) / std
     outs = []
-    for start in range(0, images.shape[0], batch_size):
-        outs.append(backbone.forward(images[start:start + batch_size]))
+    for start in range(0, images.shape[0], EMBED_BLOCK):
+        outs.append(backbone.forward(images[start:start + EMBED_BLOCK]))
     return np.concatenate(outs, axis=0)
 
 

@@ -5,10 +5,14 @@ The severity score of an image is its reconstruction error minus alpha times
 the alignment of its decoder gradients with the reference gradients averaged
 over healthy training. Higher score = more severe.
 
-Every pass goes through ``Autoencoder.forward/backward``, which run a batch
-in cache-sized blocks of ``models.MICRO_BATCH`` images and sum the blocks'
-parameter gradients; a single-image pass (scoring, the held-out alignment)
-is one block with the unblocked arithmetic.
+Every training pass goes through ``Autoencoder.forward/backward``, which
+run a batch in cache-sized blocks of ``models.MICRO_BATCH`` images and sum
+the blocks' parameter gradients; a single-image pass (the held-out
+alignment) is one block with the unblocked arithmetic. Scoring runs a corpus
+in blocks of ``MICRO_BATCH`` images too, but reads each image's decoder
+gradients from one decoder-only backward of the block: the conv layers'
+unsummed weight-gradient stacks, and the rank-1 identity for the first
+``Dense``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import GradconSection
-from .models import Autoencoder
+from .models import MICRO_BATCH, Autoencoder
 from .numerics import (
     Array,
     NumericalError,
@@ -235,21 +239,74 @@ def train_gradcon(healthy: Array, g: GradconSection, model: Autoencoder, seed: i
     return model, ref, log
 
 
-def severity_score(model: Autoencoder, ref: ReferenceGradients, x: Array,
-                   alpha: float) -> SeverityScore:
-    """Score one image: value = l_recon - alpha * l_grad. Pure with respect to
-    model parameters and the reference (only gradient buffers are touched)."""
-    if not ref.initialized():
-        raise ValueError("reference gradients are uninitialized")
-    x = as_f64(x)
-    batch = x[None] if x.ndim == 3 else x
-    if batch.shape[0] != 1:
-        raise ShapeError("severity_score takes a single image")
-    l_recon, _ = _recon_backward(model, batch)
-    l_grad = gradient_alignment(decoder_weight_gradients(model), ref)
-    return SeverityScore(value=l_recon - alpha * l_grad, l_recon=l_recon, l_grad=l_grad)
+def _cosines(dots: Array, norms: Array, m: Array) -> Array:
+    """cosine_similarity per image, from each image's gradient dot m and
+    gradient norm: 0 where either norm is below 1e-12."""
+    nm = np.linalg.norm(m)
+    small = (norms < 1e-12) | (nm < 1e-12)
+    return np.where(small, 0.0, dots / np.where(small, 1.0, norms * nm))
+
+
+def _decoder_alignments(model: Autoencoder, dout: Array, ref: ReferenceGradients) -> Array:
+    """gradient_alignment of each image's decoder weight gradients, from one
+    backward through the last forward's decoder caches. `dout` holds each
+    image's own loss gradient. The conv layers leave their per-image weight
+    gradients unsummed; for the first layer, a Dense with input z and output
+    gradient d, image i's gradient is z_i (x) d_i, so its dot with the mean M
+    is z_i^T M d_i and its norm |z_i||d_i|, and it is never built. Neither
+    the encoder nor that Dense's input gradient is computed."""
+    layers = model.decoder.layers
+    means = dict(zip(model.decoder_weight_layers(), ref.layer_means))
+    cosines = []
+    for i in range(len(layers) - 1, 0, -1):
+        if i in means:
+            dout = layers[i].backward(dout, per_sample=True)
+            g = layers[i].grads["w"].reshape(len(dout), -1)
+            cosines.append(_cosines(g @ means[i], np.linalg.norm(g, axis=1), means[i]))
+        else:
+            dout = layers[i].backward(dout)
+    z, m = layers[0]._cache, means[0]
+    dots = np.einsum("bi,bi->b", z @ m.reshape(z.shape[1], -1), dout)
+    cosines.append(_cosines(dots, np.linalg.norm(z, axis=1) * np.linalg.norm(dout, axis=1), m))
+    return np.mean(cosines[::-1], axis=0)
 
 
 def score_dataset(model: Autoencoder, ref: ReferenceGradients, images: Array,
                   alpha: float) -> list[SeverityScore]:
-    return [severity_score(model, ref, images[i], alpha) for i in range(images.shape[0])]
+    """Score each image: value = l_recon - alpha * l_grad, with l_recon its
+    reconstruction loss and l_grad the alignment of its own (batch-1) decoder
+    weight gradients with the reference. Runs in blocks of MICRO_BATCH
+    images: one forward and one decoder-only backward per block (see
+    _decoder_alignments). Each score matches one batch-1 forward/backward of
+    the image, the tests' oracle, to <= 1e-12 relative. Pure with respect to
+    model parameters and the reference (only layer caches and gradient
+    buffers are touched)."""
+    if not ref.initialized():
+        raise ValueError("reference gradients are uninitialized")
+    sizes = [model.decoder.layers[i].params["w"].size for i in model.decoder_weight_layers()]
+    if [m.size for m in ref.layer_means] != sizes:
+        raise ShapeError(f"layer-set mismatch: reference sizes "
+                         f"{[m.size for m in ref.layer_means]} vs decoder {sizes}")
+    images = as_f64(images)
+    scores = []
+    for start in range(0, images.shape[0], MICRO_BATCH):
+        x = images[start:start + MICRO_BATCH]
+        xhat = model.forward(x)
+        if x.shape != xhat.shape:
+            raise ShapeError(f"reconstruction_loss: shapes {x.shape} != {xhat.shape}")
+        # each image's loss is the mean over its own pixels, unscaled by the block
+        l_recon = ((x - xhat) ** 2).reshape(len(x), -1).mean(axis=1)
+        l_grad = _decoder_alignments(model, 2.0 * (xhat - x) / x[0].size, ref)
+        scores += [SeverityScore(value=float(r - alpha * g), l_recon=float(r), l_grad=float(g))
+                   for r, g in zip(l_recon, l_grad)]
+    return scores
+
+
+def severity_score(model: Autoencoder, ref: ReferenceGradients, x: Array,
+                   alpha: float) -> SeverityScore:
+    """Score one image, as score_dataset does."""
+    x = as_f64(x)
+    batch = x[None] if x.ndim == 3 else x
+    if batch.shape[0] != 1:
+        raise ShapeError("severity_score takes a single image")
+    return score_dataset(model, ref, batch, alpha)[0]

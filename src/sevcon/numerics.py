@@ -126,7 +126,10 @@ class Conv2d(Layer):
     flipped, channel-swapped weights w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
     through the same column builder; at stride 2 it is a k*k strided
     scatter-add of W^T dout. ``backward(dout, input_grad=False)`` skips the
-    input gradient and returns None, for a first layer whose input is data."""
+    input gradient and returns None, for a first layer whose input is data.
+    ``backward(dout, per_sample=True)`` leaves in grads["w"] the
+    (B, C_out, C_in, k, k) stack of per-image weight gradients, the dW GEMM's
+    terms before the sum over b, for per-image scoring."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator,
                  kernel: int = 3, stride: int = 1, pad: int = 1):
@@ -155,14 +158,16 @@ class Conv2d(Layer):
         self._cache = (cols.reshape(-1, Ho * Wo), x.shape, Ho, Wo)
         return out.reshape(B, self.c_out, Ho, Wo)
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, per_sample=False):
         self._require_cache()
         cols, (B, _, H, W), Ho, Wo = self._cache
         k, s, p = self.kernel, self.stride, self.pad
         w = self.params["w"]
         cols = cols.reshape(B, -1, Ho * Wo)
         dmat = dout.reshape(B, self.c_out, Ho * Wo)
-        self.grads["w"] = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        dw = np.matmul(dmat, cols.transpose(0, 2, 1))
+        self.grads["w"] = (dw.reshape((B,) + w.shape) if per_sample
+                           else dw.sum(axis=0).reshape(w.shape))
         self.grads["b"] = dmat.sum(axis=(0, 2))
         if not input_grad:
             return None
@@ -209,8 +214,9 @@ class UpsampleConv2d(Layer):
     with the phase kernels channel-swapped: one GEMM, no scatter-add.
 
     The parameters are those of the replaced Conv2d, w (C_out, C_in, 3, 3)
-    and b, drawn by the same call; ``backward(dout, input_grad=False)`` is as
-    in Conv2d. Named "conv2d", as a stride-1 Conv2d is."""
+    and b, drawn by the same call; ``backward(dout, input_grad=False)`` and
+    ``backward(dout, per_sample=True)`` are as in Conv2d, each image's phase
+    gradient folded back on its own. Named "conv2d", as a stride-1 Conv2d is."""
 
     name = "conv2d"
 
@@ -245,15 +251,17 @@ class UpsampleConv2d(Layer):
         self._cache = (cols, k, x.shape)
         return out
 
-    def backward(self, dout, input_grad=True):
+    def backward(self, dout, input_grad=True, per_sample=False):
         self._require_cache()
         cols, k, (B, C, H, W) = self._cache
         # the four phase grids of dout, (B, 4, C_out, H*W)
         dmat = dout.reshape(B, self.c_out, H, 2, W, 2).transpose(0, 3, 5, 1, 2, 4).reshape(
             B, 4, self.c_out, H * W)
-        dk = np.matmul(dmat, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-        dk = dk.reshape(2, 2, self.c_out, C, 2, 2).transpose(2, 3, 0, 1, 4, 5)
-        self.grads["w"] = (dk.reshape(-1, 16) @ _PHASE_FOLD.T).reshape(self.params["w"].shape)
+        dk = np.matmul(dmat, cols.transpose(0, 1, 3, 2))
+        dk = dk if per_sample else dk.sum(axis=0)[None]
+        dk = dk.reshape(-1, 2, 2, self.c_out, C, 2, 2).transpose(0, 3, 4, 1, 2, 5, 6)
+        dw = (dk.reshape(-1, 16) @ _PHASE_FOLD.T).reshape((-1,) + self.params["w"].shape)
+        self.grads["w"] = dw if per_sample else dw[0]
         self.grads["b"] = dmat.sum(axis=(0, 1, 3))
         if not input_grad:
             return None

@@ -1,12 +1,11 @@
-"""Baseline anomaly scorers: MSP, ODIN, Mahalanobis, and the shared-seed
-ablation machinery."""
+"""Baseline anomaly scorers: MSP, ODIN, Mahalanobis, their batched corpus
+scoring against per-image oracles, and the shared-seed ablation machinery."""
 
 import numpy as np
 import pytest
 
 from sevcon.baselines import (
     ablation_run,
-    classifier_logits,
     fit_gaussian_stats,
     mahalanobis_score,
     msp_from_logits,
@@ -16,7 +15,8 @@ from sevcon.baselines import (
     train_supervised_classifier,
 )
 from sevcon.config import BaselinesSection, ContrastiveSection, ProbeSection
-from sevcon.numerics import NumericalError, softmax
+from sevcon.evalprobe import EMBED_BLOCK
+from sevcon.numerics import NumericalError, softmax, softmax_ce_with_logits
 
 RNG = np.random.default_rng(13)
 
@@ -43,7 +43,7 @@ def test_msp_from_logits_hand_value():
 def test_msp_score_orientation(tiny_classifier):
     clf, images, _ = tiny_classifier
     s = msp_score(clf, images[0])
-    probs = softmax(classifier_logits(clf, images[0]))
+    probs = softmax(clf.combo_head.forward(clf.backbone.forward(images[:1]))[0])
     assert s == -probs.max()
     assert -1.0 <= s <= -1.0 / clf.combo_classes.shape[0]
 
@@ -117,6 +117,55 @@ def test_score_corpus_dispatch(tiny_classifier):
         score_corpus(clf, corpus, "mahalanobis", b)
     with pytest.raises(ValueError, match="unknown scorer"):
         score_corpus(clf, corpus, "nope", b)
+
+
+def per_image_msp(clf, x, T=1.0):
+    """Oracle: one batch-1 forward, then -max softmax of the logits / T."""
+    logits = clf.combo_head.forward(clf.backbone.forward(x[None]))[0]
+    return -float(softmax(logits / T).max())
+
+
+def per_image_odin(clf, x, T, eps):
+    """Oracle: one batch-1 forward and backward of the temperature-scaled
+    cross-entropy at the predicted class, then the perturbed batch-1 MSP."""
+    logits = clf.combo_head.forward(clf.backbone.forward(x[None]))
+    _, dlogits = softmax_ce_with_logits(logits / T, np.array([int(np.argmax(logits[0]))]))
+    dx = clf.backbone.backward(clf.combo_head.backward(dlogits / T))
+    return per_image_msp(clf, (x[None] - eps * np.sign(dx))[0], T)
+
+
+def per_image_mahalanobis(stats, f):
+    """Oracle: the quadratic form against every class mean, for one feature."""
+    diffs = stats.means - f
+    return float(np.einsum("kd,de,ke->k", diffs, stats.cov_inv, diffs).min())
+
+
+def assert_close(got, want, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= tol * np.abs(want)), np.max(np.abs(got - want))
+
+
+def test_batched_scorers_match_per_image_oracles(tiny_classifier):
+    """<= 1e-12 relative, over a corpus of more than one EMBED_BLOCK."""
+    clf, images, multihot = tiny_classifier
+    corpus = np.clip(np.random.default_rng(5).random(size=(EMBED_BLOCK + 20, 1, 32, 32)),
+                     0.0, 1.0)
+    b = BaselinesSection()
+    assert_close(score_corpus(clf, corpus, "msp", b), [per_image_msp(clf, x) for x in corpus])
+    for T, eps in ((b.odin_temperature, b.odin_epsilon), (1000.0, 0.01)):
+        odin = score_corpus(clf, corpus, "odin",
+                            BaselinesSection(odin_temperature=T, odin_epsilon=eps))
+        assert_close(odin, [per_image_odin(clf, x, T, eps) for x in corpus])
+    feats = clf.backbone.forward(images)
+    _, combo_idx = np.unique(multihot.astype(np.int64), axis=0, return_inverse=True)
+    stats = fit_gaussian_stats(feats, combo_idx, b.mahalanobis_epsilon)
+    maha = score_corpus(clf, corpus, "mahalanobis", b,
+                        train_images=images, train_multihot=multihot)
+    assert_close(maha, [per_image_mahalanobis(stats, f)
+                        for f in clf.backbone.forward(corpus)])
+    assert mahalanobis_score(stats, feats[0]) == pytest.approx(
+        per_image_mahalanobis(stats, feats[0]), rel=1e-12)
 
 
 def test_ablation_run_shared_seeds_identical_for_identical_scores():

@@ -67,6 +67,14 @@ def test_format_version_check(tmp_path):
         load_checkpoint(path)
 
 
+def test_non_finite_parameters_rejected(tmp_path):
+    path = tmp_path / "c.npz"
+    for bad in (np.nan, np.inf, -np.inf):
+        save_checkpoint(path, Checkpoint("x", {"w": np.zeros(2), "b": np.array([1.0, bad])}))
+        with pytest.raises(ValueError, match="non-finite values in parameter b"):
+            load_checkpoint(path)
+
+
 def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
     """A checkpoint or CSV write that fails midway leaves the previous file
     as it was and no temporary file behind."""

@@ -9,7 +9,7 @@ import pytest
 
 from sevcon import baselines
 from sevcon.checkpoint import load_checkpoint, save_checkpoint
-from sevcon.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main
+from sevcon.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_NUMERIC, EXIT_OK, main
 
 SMALL_INI = """\
 [experiment]
@@ -192,7 +192,14 @@ def test_exit_codes(small_run, tmp_path, capsys):
     # checkpoints whose parameters do not fit the model: the whole key set and
     # every shape must match, and the damaged file names the stage to rerun
     ae = load_checkpoint(run / "gradcon" / "autoencoder.npz").params
+    ref = load_checkpoint(run / "gradcon" / "reference.npz").params
     damaged = [
+        # a NaN in a parameter or a reference mean
+        ("gradcon/autoencoder.npz", "train-gradcon", ["score"],
+         dict(ae, **{"decoder.7.b": np.full_like(ae["decoder.7.b"], np.nan)})),
+        ("gradcon/reference.npz", "train-gradcon", ["score"],
+         dict(ref, layer1=np.where(np.arange(ref["layer1"].size) == 3, np.inf,
+                                   ref["layer1"]))),
         ("gradcon/autoencoder.npz", "train-gradcon", ["score"],
          {k: v for k, v in ae.items() if k != "decoder.7.w"}),
         ("gradcon/autoencoder.npz", "train-gradcon", ["score"],
@@ -218,6 +225,19 @@ def test_exit_codes(small_run, tmp_path, capsys):
         assert main(["--run-dir", str(run), *args]) == EXIT_MISSING, rel
         assert f"rerun `sevcon {produced_by}`" in capsys.readouterr().err, rel
         path.write_bytes(intact)
+    # a non-finite pixel gives non-finite scores: exit 4, earlier scores kept
+    images = run / "data" / "unlabeled" / "images.npy"
+    intact = images.read_bytes()
+    pixels = np.load(images)
+    pixels[3, 0, 10, 10] = np.nan
+    np.save(images, pixels)
+    scores = run / "scores" / "severity.csv"
+    earlier = scores.read_bytes()
+    capsys.readouterr()
+    assert main(["--run-dir", str(run), "score"]) == EXIT_NUMERIC
+    assert "non-finite values in severity scores" in capsys.readouterr().err
+    assert scores.read_bytes() == earlier
+    images.write_bytes(intact)
     ckpt = run / "gradcon" / "autoencoder.npz"
     ckpt.write_bytes(ckpt.read_bytes()[:100])
     assert main(["--run-dir", str(run), "score"]) == EXIT_MISSING

@@ -1,6 +1,6 @@
 """Gradient-constrained autoencoder: losses, reference bookkeeping, the
 constraint's parameter-space gradient, cache-blocked passes against unblocked
-oracles, and scoring purity."""
+oracles, and blocked scoring against a per-image oracle."""
 
 import numpy as np
 import pytest
@@ -301,4 +301,69 @@ def test_score_dataset_matches_individual_scores():
                        warmup_learning_rate=1e-3)
     model, ref, _ = train_gradcon(images, g, model, seed=0)
     scores = gradcon.score_dataset(model, ref, images, 0.03)
-    assert scores[2] == severity_score(model, ref, images[2], 0.03)
+    assert_scores_close(scores[2:3], [severity_score(model, ref, images[2], 0.03)])
+
+
+def per_image_score(model, ref, x, alpha):
+    """Oracle: one batch-1 forward/backward through the encoder and decoder,
+    then the mean cosine of the materialized decoder weight gradients."""
+    l_recon, _ = _recon_backward(model, x[None])
+    l_grad = gradient_alignment(decoder_weight_gradients(model), ref)
+    return gradcon.SeverityScore(l_recon - alpha * l_grad, l_recon, l_grad)
+
+
+def assert_scores_close(got, want, tol=1e-12):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        for name in ("value", "l_recon", "l_grad"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert abs(x - y) <= tol * abs(y), f"image {i} {name}: {x} vs {y}"
+
+
+def noisy_reference(model, images):
+    """A reference near the decoder gradients of `images`, as training makes."""
+    _, g = _recon_backward(model, images)
+    ref = ReferenceGradients()
+    return update_reference(ref, [g[f"decoder.{i}.w"].ravel()
+                                  + 0.01 * RNG.normal(size=g[f"decoder.{i}.w"].size)
+                                  for i in model.decoder_weight_layers()])
+
+
+def test_score_dataset_matches_per_image_oracle():
+    """<= 1e-12 relative for a single image, one block, a ragged last block
+    and a whole corpus; at image side 64 (five decoder weight layers); and
+    with zero-norm reference layers, whose cosines are 0, the first Dense's
+    included."""
+    model = tiny_model()
+    images = tiny_images(300)
+    ref = noisy_reference(model, images[:16])
+    for n in (1, MICRO_BATCH - 1, MICRO_BATCH, MICRO_BATCH + 1, 300):
+        want = [per_image_score(model, ref, images[i], 0.03) for i in range(n)]
+        assert_scores_close(gradcon.score_dataset(model, ref, images[:n], 0.03), want)
+
+    big = build_autoencoder(64, 4, seed=2)
+    big_images = np.clip(RNG.random(size=(11, 1, 64, 64)), 0.05, 0.95)
+    big_ref = noisy_reference(big, big_images[:4])
+    assert len(big_ref.layer_means) == 5
+    assert_scores_close(gradcon.score_dataset(big, big_ref, big_images, 0.03),
+                        [per_image_score(big, big_ref, x, 0.03) for x in big_images])
+
+    for layer in (0, 2):
+        ref.layer_means[layer][:] = 0.0
+    want = [per_image_score(model, ref, images[i], 0.03) for i in range(MICRO_BATCH + 1)]
+    assert_scores_close(gradcon.score_dataset(model, ref, images[:MICRO_BATCH + 1], 0.03), want)
+
+
+def test_score_dataset_checks():
+    model = tiny_model()
+    images = tiny_images(3)
+    with pytest.raises(ValueError, match="uninitialized"):
+        gradcon.score_dataset(model, ReferenceGradients(), images, 0.03)
+    ref = noisy_reference(model, images)
+    with pytest.raises(ShapeError, match="layer-set"):
+        gradcon.score_dataset(model, ReferenceGradients(ref.layer_means[:-1], 1), images, 0.03)
+    with pytest.raises(ShapeError, match="layer-set"):
+        gradcon.score_dataset(model, ReferenceGradients(
+            [m[:-1] for m in ref.layer_means], 1), images, 0.03)
+    with pytest.raises(ShapeError):
+        gradcon.score_dataset(model, ref, np.zeros((2, 1, 16, 16)), 0.03)

@@ -271,6 +271,27 @@ def test_skipped_input_gradient_leaves_parameter_gradients_bitwise():
             assert np.array_equal(g, full[key]), key
 
 
+def test_per_sample_weight_gradients_match_batch_one_passes():
+    """per_sample=True leaves one weight gradient per image, each within
+    1e-12 of that image's own batch-1 backward, with the same input gradient
+    and bias gradient as the summed pass."""
+    for layer, shape in [(Conv2d(2, 3, RNG), (5, 2, 6, 7)),
+                         (UpsampleConv2d(2, 3, RNG), (5, 2, 4, 5))]:
+        x = RNG.normal(size=shape)
+        dout = RNG.normal(size=layer.forward(x).shape)
+        dx = layer.backward(dout)
+        summed = dict(layer.grads)
+        assert np.array_equal(layer.backward(dout, per_sample=True), dx)
+        stack = layer.grads["w"]
+        assert stack.shape == (shape[0],) + layer.params["w"].shape
+        assert np.array_equal(layer.grads["b"], summed["b"])
+        assert rel_err(stack.sum(axis=0), summed["w"]) <= 1e-12
+        for b in range(shape[0]):
+            layer.forward(x[b:b + 1])
+            layer.backward(dout[b:b + 1])
+            assert rel_err(stack[b], layer.grads["w"]) <= 1e-12, (layer.name, b)
+
+
 def test_upsample_backward_matches_block_sums():
     """Oracle check of the oracle: each input pixel's gradient is the sum of
     its f x f block."""
