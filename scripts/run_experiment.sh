@@ -23,26 +23,37 @@ else
   run gen-data
 fi
 
+# The bin counts come from the run's stored config: [labeling] n_bins for the
+# ablation, and report_bins for the backbones that the report tabulates.
+BIN_COUNTS="$(PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
+import sys
+from sevcon.config import load_config
+lab = load_config(sys.argv[1]).labeling
+print(lab.n_bins, *lab.report_bin_list())' "$RUN_DIR/config.ini")"
+read -r N_BINS REPORT_BINS <<< "$BIN_COUNTS"
+
 run train-gradcon
 for scorer in severity msp odin mahalanobis; do
   run score --scorer "$scorer"
 done
 
-for bins in 250 500 1000; do
+TAGS=()
+for bins in $REPORT_BINS; do
   run make-labels --bins "$bins"
   run pretrain --mode severity --bins "$bins"
+  TAGS+=("severity_b$bins")
 done
 run pretrain --mode simclr
 run pretrain --mode random
 
-for tag in severity_b250 severity_b500 severity_b1000 simclr random; do
+for tag in "${TAGS[@]}" simclr random; do
   for task in bio_a bio_b bio_c bio_d bio_e multilabel; do
     run probe --task "$task" --tag "$tag"
   done
   run evaluate --tag "$tag"
 done
 
-run ablate --bins 250
+run ablate --bins "$N_BINS"
 run report
 
 echo "done; see $RUN_DIR/report/"

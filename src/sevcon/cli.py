@@ -306,12 +306,10 @@ def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer:
 def _load_labels(run_dir: Path, scorer: str, n_bins: int,
                  sample_ids: list[str]) -> labeling.SeverityLabeling:
     """The rank-and-bin labels `make-labels` wrote, checked against the corpus."""
-    cols = _read_checked(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv",
+    bins = _read_checked(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv",
                          f"make-labels --bins {n_bins} --scorer {scorer}", sample_ids,
-                         {"bin_label": int, "severity": float})
-    bins, scores = cols["bin_label"], cols["severity"]
-    return labeling.SeverityLabeling(n_bins, bins, np.argsort(scores, kind="stable"),
-                                     np.bincount(bins, minlength=n_bins))
+                         {"bin_label": int})["bin_label"]
+    return labeling.SeverityLabeling(n_bins, bins, np.bincount(bins, minlength=n_bins))
 
 
 def _backbone_tag(mode: str, scorer: str, n_bins: int) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -41,9 +42,6 @@ class GradconSection:
     warmup_learning_rate: float = 0.07
     momentum: float = 0.9
     latent_dim: int = 32
-    # Propagate the alignment term into parameter updates via a
-    # Hessian-vector product (finite-difference of gradients).
-    constraint_in_update: bool = True
     heldout_count: int = 64
 
 
@@ -115,19 +113,8 @@ class ExperimentConfig:
     probe: ProbeSection = field(default_factory=ProbeSection)
     baselines: BaselinesSection = field(default_factory=BaselinesSection)
 
-    def _flat_items(self) -> list[tuple[str, str]]:
-        items = [("experiment.seed", repr(self.seed))]
-        for sec_name in _SECTION_TYPES:
-            section = getattr(self, sec_name)
-            for f in fields(section):
-                items.append((f"{sec_name}.{f.name}", repr(getattr(section, f.name))))
-        return sorted(items)
-
     def config_hash(self) -> str:
-        h = hashlib.sha256()
-        for key, value in self._flat_items():
-            h.update(f"{key}={value}\n".encode())
-        return h.hexdigest()[:16]
+        return hashlib.sha256(self.to_ini().encode()).hexdigest()[:16]
 
     def derive_seed(self, stage: str) -> int:
         digest = hashlib.sha256(f"{self.seed}:{stage}".encode()).digest()
@@ -139,7 +126,6 @@ class ExperimentConfig:
         for sec_name in _SECTION_TYPES:
             parser[sec_name] = {f.name: str(getattr(getattr(self, sec_name), f.name))
                                 for f in fields(getattr(self, sec_name))}
-        import io
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
@@ -183,10 +169,9 @@ def load_config(path: Path) -> ExperimentConfig:
         if sec_name not in _SECTION_TYPES:
             raise ConfigError(f"unknown section [{sec_name}]")
         section = getattr(cfg, sec_name)
-        known = {f.name: f.type for f in fields(section)}
         type_map = {f.name: type(getattr(section, f.name)) for f in fields(section)}
         for key, raw in parser[sec_name].items():
-            if key not in known:
+            if key not in type_map:
                 raise ConfigError(f"unknown key {sec_name}.{key}")
             setattr(section, key, _convert(raw, type_map[key], f"{sec_name}.{key}"))
     try:
@@ -204,6 +189,17 @@ def load_config(path: Path) -> ExperimentConfig:
                           "must be at least 2")
     if cfg.data.n_unlabeled < 2:
         raise ConfigError(f"data.n_unlabeled {cfg.data.n_unlabeled} must be at least 2")
+    if cfg.gradcon.epochs < 1:
+        raise ConfigError(f"gradcon.epochs {cfg.gradcon.epochs} must be at least 1")
+    # every training loop takes batches and an SGD rate and momentum
+    for sec_name in _SECTION_TYPES:
+        for key, value in vars(getattr(cfg, sec_name)).items():
+            if key.endswith("batch_size") and value < 1:
+                raise ConfigError(f"{sec_name}.{key} {value} must be at least 1")
+            if key.endswith("learning_rate") and not value >= 0:
+                raise ConfigError(f"{sec_name}.{key} {value} must be non-negative")
+            if key.endswith("momentum") and not 0 <= value < 1:
+                raise ConfigError(f"{sec_name}.{key} {value} must be in [0, 1)")
     if cfg.data.image_side not in SUPPORTED_SIDES:
         raise ConfigError(f"data.image_side {cfg.data.image_side} is unsupported; "
                           f"supported: {SUPPORTED_SIDES}")

@@ -8,20 +8,19 @@ source's label to its own id turns the loss into instance discrimination
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ContrastiveSection
+from .config import ConfigError, ContrastiveSection
 from .models import normalize_rows_backward
 from .numerics import Array, Network, NumericalError, SgdState, as_f64, sgd_step
 
 
 @dataclass
 class MultiviewBatch:
-    views: Array       # (2B, 1, H, W); view i and i+B share source i
-    labels: Array      # (2B,) pseudo-labels inherited from the sources
-    source_ids: Array  # (2B,)
+    views: Array   # (2B, 1, H, W); view i and i+B share source i
+    labels: Array  # (2B,) pseudo-labels inherited from the sources
 
 
 def augment(c: ContrastiveSection, images: Array, rng: np.random.Generator) -> Array:
@@ -90,11 +89,13 @@ def build_multiview_batch(images: Array, labels: Array, idxs: Array,
     return MultiviewBatch(
         views=augment(c, images[both], rng),
         labels=np.asarray(labels)[both],
-        source_ids=both,
     )
 
 
-def _supcon_matrices(z: Array, labels: Array, tau: float):
+def supcon_loss_and_grad(z: Array, labels: Array, tau: float) -> tuple[float, Array]:
+    """The supervised contrastive loss of unit-norm embeddings z, the mean
+    over anchors i of -1/|P(i)| sum_{p in P(i)} log softmax_i(p), and its
+    gradient with respect to z."""
     z = as_f64(z)
     m = z.shape[0]
     norms = np.linalg.norm(z, axis=1)
@@ -115,23 +116,11 @@ def _supcon_matrices(z: Array, labels: Array, tau: float):
     exps = np.exp(s - smax)
     denom = exps.sum(axis=1, keepdims=True)
     logp = (s - smax) - np.log(denom)  # log softmax over A(i)
-    return m, pos, exps / denom, logp
-
-
-def supcon_loss(z: Array, labels: Array, tau: float) -> float:
-    """Mean over anchors i of -1/|P(i)| sum_{p in P(i)} log softmax_i(p)."""
-    m, pos, _, logp = _supcon_matrices(z, labels, tau)
-    per_anchor = -(pos * np.where(pos > 0, logp, 0.0)).sum(axis=1) / pos.sum(axis=1)
-    return float(per_anchor.mean())
-
-
-def supcon_loss_and_grad(z: Array, labels: Array, tau: float) -> tuple[float, Array]:
-    m, pos, sm, logp = _supcon_matrices(z, labels, tau)
     p_counts = pos.sum(axis=1, keepdims=True)
     per_anchor = -(pos * np.where(pos > 0, logp, 0.0)).sum(axis=1) / p_counts[:, 0]
     loss = float(per_anchor.mean())
     # dL/dS_ij for j != i: (softmax_i(j) - 1[j in P(i)]/|P(i)|) / m
-    g = (sm - pos / p_counts) / m
+    g = (exps / denom - pos / p_counts) / m
     np.fill_diagonal(g, 0.0)
     dz = (g + g.T) @ z / tau
     return loss, dz
@@ -151,7 +140,7 @@ def _balanced_batches(labels: Array, batch_size: int, rng: np.random.Generator):
     bins = np.unique(labels)
     eligible = np.array([b for b in bins if np.sum(labels == b) >= 2])
     if eligible.size == 0:
-        raise ValueError("balanced sampler needs at least one bin with >= 2 samples")
+        raise ConfigError("balanced sampler needs at least one bin with >= 2 samples")
     n_steps = max(1, n // batch_size)
     n_bins_per_step = min(max(batch_size // 2, 1), eligible.size)
     for _ in range(n_steps):
@@ -202,5 +191,8 @@ def pretrain(backbone: Network, head: Network, images: Array,
 
 def simclr_mode(backbone: Network, head: Network, images: Array,
                 c: ContrastiveSection, seed: int) -> list[float]:
-    """Instance-discrimination pretraining: each source is its own class."""
-    return pretrain(backbone, head, images, np.arange(images.shape[0]), c, seed)
+    """Instance-discrimination pretraining: each source is its own class.
+    Instance labels have no bins to balance, so it runs on the epoch batches
+    whatever ``balanced_sampler`` says."""
+    return pretrain(backbone, head, images, np.arange(images.shape[0]),
+                    replace(c, balanced_sampler=False), seed)

@@ -29,7 +29,6 @@ from .numerics import (
     SgdState,
     ShapeError,
     as_f64,
-    cosine_similarity,
     sgd_step,
 )
 
@@ -80,14 +79,15 @@ def decoder_weight_gradients(model: Autoencoder) -> list[Array]:
 
 def gradient_alignment(current: list[Array], ref: ReferenceGradients) -> float:
     """Unweighted mean over decoder layers of the cosine similarity between
-    the current gradients and the reference gradients."""
+    the current gradients and the reference gradients (see _cosines)."""
     if not ref.initialized():
         raise ValueError("reference gradients are uninitialized")
-    if len(current) != len(ref.layer_means):
-        raise ShapeError(
-            f"layer-set mismatch: {len(current)} layers vs {len(ref.layer_means)}")
-    cosines = [cosine_similarity(g, m) for g, m in zip(current, ref.layer_means)]
-    return float(np.mean(cosines))
+    sizes = [g.size for g in current]
+    if sizes != [m.size for m in ref.layer_means]:
+        raise ShapeError(f"layer-set mismatch: gradient sizes {sizes} vs reference "
+                         f"{[m.size for m in ref.layer_means]}")
+    return float(np.mean([_cosines(np.dot(g, m), np.linalg.norm(g), m)
+                          for g, m in zip(current, ref.layer_means)]))
 
 
 def update_reference(ref: ReferenceGradients, grads: list[Array]) -> ReferenceGradients:
@@ -218,7 +218,7 @@ def train_gradcon(healthy: Array, g: GradconSection, model: Autoencoder, seed: i
                         aligns.append(gradient_alignment(
                             decoder_weight_gradients(model), ref))
                     held_vals.append(float(np.mean(aligns)))
-                if g.constraint_in_update and g.alpha != 0.0:
+                if g.alpha != 0.0:
                     dalign = _alignment_grad_wrt_gradients(dec_grads, ref)
                     hv = _constraint_update_term(model, batch, dec_key_order, dalign)
                     for k in update:
@@ -240,8 +240,8 @@ def train_gradcon(healthy: Array, g: GradconSection, model: Autoencoder, seed: i
 
 
 def _cosines(dots: Array, norms: Array, m: Array) -> Array:
-    """cosine_similarity per image, from each image's gradient dot m and
-    gradient norm: 0 where either norm is below 1e-12."""
+    """Cosine of each image's gradient g with m, from g.m and |g|:
+    g.m / (|g||m|), and 0 where either norm is below 1e-12."""
     nm = np.linalg.norm(m)
     small = (norms < 1e-12) | (nm < 1e-12)
     return np.where(small, 0.0, dots / np.where(small, 1.0, norms * nm))

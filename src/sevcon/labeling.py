@@ -12,9 +12,8 @@ from .numerics import Array, as_f64
 @dataclass
 class SeverityLabeling:
     n_bins: int
-    labels: Array        # per-sample bin index in [0, n_bins)
-    sorted_order: Array  # sample indices by ascending severity (stable)
-    bin_sizes: Array     # per-bin counts; max - min <= 1
+    labels: Array     # per-sample bin index in [0, n_bins)
+    bin_sizes: Array  # per-bin counts; max - min <= 1
 
 
 def assign_severity_labels(scores, n_bins: int) -> SeverityLabeling:
@@ -38,7 +37,7 @@ def assign_severity_labels(scores, n_bins: int) -> SeverityLabeling:
     for b, size in enumerate(bin_sizes):
         labels[order[start:start + size]] = b
         start += size
-    return SeverityLabeling(n_bins, labels, order, bin_sizes)
+    return SeverityLabeling(n_bins, labels, bin_sizes)
 
 
 def extreme_bin_report(labeling: SeverityLabeling, images: Array, k: int,

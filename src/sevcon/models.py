@@ -61,8 +61,6 @@ class Autoencoder:
 
     encoder: Network
     decoder: Network
-    image_side: int
-    latent_dim: int
     _blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def forward(self, x: Array) -> Array:
@@ -150,7 +148,7 @@ def build_autoencoder(image_side: int, latent_dim: int, seed: int) -> Autoencode
         c = c_next
     dec += [Conv2d(c, 1, rng, stride=1), Sigmoid()]
 
-    return Autoencoder(Network(enc), Network(dec), image_side, latent_dim)
+    return Autoencoder(Network(enc), Network(dec))
 
 
 def build_backbone(image_side: int, embedding_dim: int, seed: int) -> Network:

@@ -94,8 +94,6 @@ class Dense(Layer):
 
 def _pad(x: Array, p: int) -> Array:
     """Zero-pad the two spatial axes of a (B, C, H, W) batch by p."""
-    if not p:
-        return x
     B, C, H, W = x.shape
     xp = np.zeros((B, C, H + 2 * p, W + 2 * p))
     xp[:, :, p:p + H, p:p + W] = x
@@ -116,7 +114,8 @@ def _columns(xp: Array, k: int, s: int, Ho: int, Wo: int) -> Array:
 
 
 class Conv2d(Layer):
-    """k x k convolution; stride 1 is plain, stride 2 is the downsampler.
+    """3 x 3, pad-1 convolution (k = ``kernel``, p = ``pad``); stride 1 is
+    plain, stride 2 is the downsampler.
 
     im2col + GEMM in NCHW. The columns of image b are laid out channel-first
     as a (C_in*k*k, Ho*Wo) matrix, so one batched matmul with the
@@ -131,15 +130,15 @@ class Conv2d(Layer):
     (B, C_out, C_in, k, k) stack of per-image weight gradients, the dW GEMM's
     terms before the sum over b, for per-image scoring."""
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator,
-                 kernel: int = 3, stride: int = 1, pad: int = 1):
+    kernel, pad = 3, 1
+
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, stride: int = 1):
         super().__init__()
-        self.c_in, self.c_out = c_in, c_out
-        self.kernel, self.stride, self.pad = kernel, stride, pad
+        self.c_in, self.c_out, self.stride = c_in, c_out, stride
         self.name = "conv2d" if stride == 1 else "strided-conv2d"
-        fan_in = c_in * kernel * kernel
+        k = self.kernel
         self.params = {
-            "w": _he_uniform(rng, (c_out, c_in, kernel, kernel), fan_in),
+            "w": _he_uniform(rng, (c_out, c_in, k, k), c_in * k * k),
             "b": np.zeros(c_out),
         }
 
@@ -446,19 +445,6 @@ def sgd_step(state: SgdState, params: dict[str, Array], grads: dict[str, Array])
 # ---------------------------------------------------------------------------
 # Scalar ops and loss helpers
 # ---------------------------------------------------------------------------
-
-
-def cosine_similarity(a: Array, b: Array) -> float:
-    """a.b / (|a||b|); defined as 0 when either norm is below 1e-12."""
-    a = as_f64(a).ravel()
-    b = as_f64(b).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity: lengths {a.size} != {b.size}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def sigmoid(x: Array) -> Array:

@@ -273,9 +273,10 @@ def save_dataset(directory: Path, dataset: Dataset, meta: dict):
 
 
 def load_dataset(directory: Path) -> Dataset:
-    """Read a split that `save_dataset` wrote. Another format version, or not
-    one float64 (1, side, side) image per sample id, is a ``ValueError``; a
-    missing or corrupt file raises its reader's OSError/EOFError/ValueError."""
+    """Read a split that `save_dataset` wrote. Another format version, not
+    one float64 (1, side, side) image per sample id, or a non-finite pixel is
+    a ``ValueError``; a missing or corrupt file raises its reader's
+    OSError/EOFError/ValueError."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if manifest.get("format_version") != FORMAT_VERSION:
@@ -286,6 +287,8 @@ def load_dataset(directory: Path) -> Dataset:
     if images.dtype != np.float64 or images.ndim != 4 or images.shape[:2] != (len(ids), 1):
         raise ValueError(f"{directory}: images.npy holds {images.dtype} {images.shape}, "
                          f"expected float64 ({len(ids)}, 1, side, side)")
+    if not np.isfinite(images).all():
+        raise ValueError(f"{directory}: images.npy holds non-finite pixels")
     gts = None
     labels_path = directory / "labels.csv"
     if labels_path.exists():

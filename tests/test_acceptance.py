@@ -82,7 +82,7 @@ def test_criterion_1_gradients(verdict):
 
     def loss_of_u(uv):
         zv = uv / np.linalg.norm(uv, axis=1, keepdims=True)
-        return contrastive.supcon_loss(zv, labels, 0.2)
+        return contrastive.supcon_loss_and_grad(zv, labels, 0.2)[0]
 
     z = u / np.linalg.norm(u, axis=1, keepdims=True)
     _, dz = contrastive.supcon_loss_and_grad(z, labels, 0.2)
@@ -111,10 +111,10 @@ def test_criterion_2_supcon_oracle(verdict):
         tau = float(rng.uniform(0.05, 2.0))
         z = random_unit_batch(rng, 2 * n_src, dim)
         labels = paired_labels(rng, 2 * n_src)
-        worst = max(worst, abs(contrastive.supcon_loss(z, labels, tau)
+        worst = max(worst, abs(contrastive.supcon_loss_and_grad(z, labels, tau)[0]
                                - brute_force_supcon(z, labels, tau)))
     z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    hand = abs(contrastive.supcon_loss(z, np.array([0, 0, 1, 1]), 1.0)
+    hand = abs(contrastive.supcon_loss_and_grad(z, np.array([0, 0, 1, 1]), 1.0)[0]
                - (np.log(np.e + 2.0) - 1.0))
     verdict(2, "contrastive loss matches brute-force definition on 50 random "
                "batches and the orthogonal-pairs hand case",

@@ -159,6 +159,19 @@ def test_exit_codes(small_run, tmp_path, capsys):
     assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
     bad.write_text("[data]\nn_unlabeled = 1\n")  # nothing to pair for pretraining
     assert main(["--run-dir", str(fresh), "--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    # training settings no loop can run with
+    for section, key, value in [("gradcon", "epochs", "0"), ("gradcon", "batch_size", "0"),
+                                ("probe", "batch_size", "0"),
+                                ("baselines", "classifier_batch_size", "0"),
+                                ("gradcon", "learning_rate", "-1"),
+                                ("contrastive", "learning_rate", "nan"),
+                                ("gradcon", "momentum", "1.0"),
+                                ("probe", "momentum", "-0.5")]:
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["--run-dir", str(fresh), "--config", str(bad),
+                     "gen-data"]) == EXIT_CONFIG, (section, key)
+        assert f"{section}.{key}" in capsys.readouterr().err
     assert not (fresh / "data").exists()  # rejected before any split is written
 
     empty = tmp_path / "empty"
@@ -225,11 +238,23 @@ def test_exit_codes(small_run, tmp_path, capsys):
         assert main(["--run-dir", str(run), *args]) == EXIT_MISSING, rel
         assert f"rerun `sevcon {produced_by}`" in capsys.readouterr().err, rel
         path.write_bytes(intact)
-    # a non-finite pixel gives non-finite scores: exit 4, earlier scores kept
+    # a non-finite pixel is a damaged split: every scorer exits 3, names
+    # gen-data, and keeps its earlier scores
     images = run / "data" / "unlabeled" / "images.npy"
     intact = images.read_bytes()
     pixels = np.load(images)
     pixels[3, 0, 10, 10] = np.nan
+    np.save(images, pixels)
+    for scorer in ("severity", "msp", "odin", "mahalanobis"):
+        scores = run / "scores" / f"{scorer}.csv"
+        earlier = scores.read_bytes()
+        capsys.readouterr()
+        assert main(["--run-dir", str(run), "score", "--scorer", scorer]) == EXIT_MISSING
+        assert "rerun `sevcon gen-data`" in capsys.readouterr().err, scorer
+        assert scores.read_bytes() == earlier, scorer
+    # a finite pixel too large for the autoencoder gives non-finite scores:
+    # exit 4, earlier scores kept
+    pixels[3, 0, 10, 10] = 1e300
     np.save(images, pixels)
     scores = run / "scores" / "severity.csv"
     earlier = scores.read_bytes()
@@ -265,6 +290,23 @@ def test_exit_codes(small_run, tmp_path, capsys):
     listing["sample_ids"].append("unlabeled_99999")
     manifest.write_text(json.dumps(listing))
     assert main(["--run-dir", str(run), "pretrain", "--mode", "simclr"]) == EXIT_MISSING
+
+    # the balanced sampler: simclr's instance labels have no bins to balance,
+    # so it trains on the epoch batches; a binning with one member per bin is
+    # a config error, before any write
+    sampled = tmp_path / "sampled"
+    shutil.copytree(small_run[0], sampled)
+    balanced = tmp_path / "balanced.ini"
+    balanced.write_text(SMALL_INI.replace("[contrastive]\n",
+                                          "[contrastive]\nbalanced_sampler = on\n"))
+    assert main(["--run-dir", str(sampled), "--config", str(balanced), "--force",
+                 "pretrain", "--mode", "simclr"]) == EXIT_OK
+    assert main(["--run-dir", str(sampled), "make-labels", "--bins", "40"]) == EXIT_OK
+    assert main(["--run-dir", str(sampled), "pretrain", "--bins", "40"]) == EXIT_CONFIG
+    assert not (sampled / "pretrain" / "backbone_severity_b40.npz").exists()
+    ablation = (sampled / "report" / "ablation.csv").read_bytes()
+    assert main(["--run-dir", str(sampled), "ablate", "--bins", "40"]) == EXIT_CONFIG
+    assert (sampled / "report" / "ablation.csv").read_bytes() == ablation
 
 
 def test_config_hash_mismatch_is_config_error(small_run, tmp_path):

@@ -41,11 +41,11 @@ def test_type_errors_and_bool_parsing(tmp_path):
     path.write_text("[gradcon]\nepochs = lots\n")
     with pytest.raises(ConfigError, match="cannot parse"):
         load_config(path)
-    path.write_text("[gradcon]\nconstraint_in_update = maybe\n")
+    path.write_text("[contrastive]\nbalanced_sampler = maybe\n")
     with pytest.raises(ConfigError):
         load_config(path)
-    path.write_text("[gradcon]\nconstraint_in_update = off\n")
-    assert load_config(path).gradcon.constraint_in_update is False
+    path.write_text("[contrastive]\nbalanced_sampler = on\n")
+    assert load_config(path).contrastive.balanced_sampler is True
 
 
 def test_unsupported_image_side_rejected(tmp_path):
@@ -69,6 +69,28 @@ def test_too_few_sources_to_pair_rejected(tmp_path):
     path.write_text("[contrastive]\nbatch_size = 2\n[data]\nn_unlabeled = 2\n")
     cfg = load_config(path)
     assert (cfg.contrastive.batch_size, cfg.data.n_unlabeled) == (2, 2)
+
+
+def test_training_settings_validated(tmp_path):
+    """Batches of at least one image, at least one gradcon epoch, SGD rates
+    >= 0 and momenta in [0, 1), in every section that has them."""
+    path = tmp_path / "c.ini"
+    for section, key, value in [("gradcon", "epochs", "0"),
+                                ("gradcon", "batch_size", "0"),
+                                ("probe", "batch_size", "-3"),
+                                ("baselines", "classifier_batch_size", "0"),
+                                ("gradcon", "warmup_learning_rate", "-0.1"),
+                                ("probe", "learning_rate", "nan"),
+                                ("baselines", "classifier_learning_rate", "-1e-3"),
+                                ("contrastive", "momentum", "1.0"),
+                                ("baselines", "classifier_momentum", "-0.1")]:
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{section}.{key} "):
+            load_config(path)
+    path.write_text("[gradcon]\nepochs = 1\nbatch_size = 1\nlearning_rate = 0\n"
+                    "momentum = 0\n[probe]\nmomentum = 0.99\n")
+    cfg = load_config(path)
+    assert (cfg.gradcon.epochs, cfg.gradcon.batch_size, cfg.probe.momentum) == (1, 1, 0.99)
 
 
 def test_malformed_ini(tmp_path):

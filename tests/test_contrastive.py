@@ -11,7 +11,6 @@ from sevcon.contrastive import (
     build_multiview_batch,
     pretrain,
     simclr_mode,
-    supcon_loss,
     supcon_loss_and_grad,
 )
 from sevcon.models import (
@@ -59,7 +58,7 @@ def test_supcon_matches_brute_force():
         tau = float(rng.uniform(0.05, 1.0))
         z = random_unit_batch(rng, batch, dim)
         labels = paired_labels(rng, batch)
-        ours = supcon_loss(z, labels, tau)
+        ours = supcon_loss_and_grad(z, labels, tau)[0]
         ref = brute_force_supcon(z, labels, tau)
         assert abs(ours - ref) < 1e-9
 
@@ -70,7 +69,7 @@ def test_supcon_hand_case():
     z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     labels = np.array([0, 0, 1, 1])
     expected = np.log(np.e + 2.0) - 1.0
-    assert supcon_loss(z, labels, tau=1.0) == pytest.approx(expected, abs=1e-12)
+    assert supcon_loss_and_grad(z, labels, tau=1.0)[0] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.5514447139320511, abs=1e-12)
 
 
@@ -82,7 +81,7 @@ def test_supcon_grad_matches_fd_through_normalization():
 
     def f(uv):
         zv = uv / np.linalg.norm(uv, axis=1, keepdims=True)
-        return supcon_loss(zv, labels, tau)
+        return supcon_loss_and_grad(zv, labels, tau)[0]
 
     z = u / np.linalg.norm(u, axis=1, keepdims=True)
     loss, dz = supcon_loss_and_grad(z, labels, tau)
@@ -106,11 +105,11 @@ def test_supcon_grad_matches_fd_through_normalization():
 def test_supcon_input_validation():
     z = random_unit_batch(np.random.default_rng(0), 4, 3)
     with pytest.raises(ValueError, match="unit-norm"):
-        supcon_loss(2.0 * z, np.array([0, 0, 1, 1]), 0.1)
+        supcon_loss_and_grad(2.0 * z, np.array([0, 0, 1, 1]), 0.1)
     with pytest.raises(ValueError, match="tau"):
-        supcon_loss(z, np.array([0, 0, 1, 1]), 0.0)
+        supcon_loss_and_grad(z, np.array([0, 0, 1, 1]), 0.0)
     with pytest.raises(ValueError, match="positive"):
-        supcon_loss(z, np.array([0, 0, 1, 2]), 0.1)
+        supcon_loss_and_grad(z, np.array([0, 0, 1, 2]), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,6 @@ def test_build_multiview_batch_layout():
                                   np.random.default_rng(0))
     assert batch.views.shape == (6, 1, 8, 8)
     assert np.array_equal(batch.labels, np.array([3, 4, 5, 3, 4, 5]))
-    assert np.array_equal(batch.source_ids, np.array([0, 2, 4, 0, 2, 4]))
     # the two views of a source differ (independent augmentation draws)
     assert not np.array_equal(batch.views[0], batch.views[3])
 
@@ -272,6 +270,20 @@ def test_simclr_mode_equals_instance_labels():
     curve2 = pretrain(bb2, h2, images, np.arange(8), c, 2)
     assert params_checksum(bb1.param_dict()) == params_checksum(bb2.param_dict())
     assert curve1 == curve2
+
+
+def test_simclr_mode_ignores_the_balanced_sampler():
+    """Instance labels have no bin with two members: simclr runs on the epoch
+    batches whether the sampler is on or off, bitwise alike."""
+    images = tiny_corpus(8)
+    runs = []
+    for balanced in (False, True):
+        c = ContrastiveSection(epochs=2, batch_size=4, learning_rate=1e-3,
+                               balanced_sampler=balanced)
+        bb = build_backbone(32, 16, seed=4)
+        curve = simclr_mode(bb, build_projection_head(16, 8, seed=5), images, c, 2)
+        runs.append((params_checksum(bb.param_dict()), curve))
+    assert runs[0] == runs[1]
 
 
 def test_balanced_sampler_requires_multi_member_bins():

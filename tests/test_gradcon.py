@@ -4,6 +4,8 @@ oracles, and blocked scoring against a per-image oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_diff, rel_err
 from sevcon import gradcon
@@ -12,6 +14,7 @@ from sevcon.gradcon import (
     ReferenceGradients,
     _alignment_grad_wrt_gradients,
     _constraint_update_term,
+    _cosines,
     _recon_backward,
     decoder_weight_gradients,
     gradient_alignment,
@@ -69,6 +72,49 @@ def test_gradient_alignment_is_mean_cosine():
         gradient_alignment(cur, ReferenceGradients())
     with pytest.raises(ShapeError):
         gradient_alignment(cur[:1], ref)
+
+
+def cosine(a, b):
+    """The cosine of a with b, as gradient_alignment takes it for one layer."""
+    return gradient_alignment([np.asarray(a, dtype=np.float64)],
+                              ReferenceGradients([np.asarray(b, dtype=np.float64)], 1))
+
+
+finite_vecs = st.integers(2, 8).flatmap(
+    lambda n: st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_vecs, st.floats(0.1, 10.0))
+def test_cosine_properties(vals, scale):
+    a = np.asarray(vals)
+    b = np.asarray(vals[::-1])
+    c = cosine(a, b)
+    assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
+    assert cosine(b, a) == pytest.approx(c, abs=1e-12)
+    if np.linalg.norm(a) > 1e-6 and np.linalg.norm(b) > 1e-6:
+        assert cosine(scale * a, b) == pytest.approx(c, rel=1e-9)
+    # the per-image form that scoring uses gives the same cosine
+    rows = np.stack([a, scale * a])
+    assert _cosines(rows @ b, np.linalg.norm(rows, axis=1), b) == pytest.approx(
+        [c, cosine(scale * a, b)], abs=1e-12)
+
+
+def test_cosine_zero_norm_is_zero():
+    assert cosine(np.zeros(3), np.ones(3)) == 0.0
+    assert cosine(np.ones(3), np.zeros(3)) == 0.0
+    # per image: a zero-norm row, or a zero-norm mean, gives 0
+    rows = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+    norms = np.linalg.norm(rows, axis=1)
+    per_image = _cosines(rows @ np.ones(3), norms, np.ones(3))
+    assert per_image[0] == 0.0
+    assert per_image[1] == pytest.approx(5.0 / (3.0 * np.sqrt(3.0)), rel=1e-12)
+    assert np.array_equal(_cosines(rows @ np.zeros(3), norms, np.zeros(3)), [0.0, 0.0])
+
+
+def test_cosine_length_mismatch():
+    with pytest.raises(ShapeError):
+        cosine(np.ones(3), np.ones(4))
 
 
 def test_alignment_grad_matches_fd():
@@ -272,10 +318,8 @@ def test_train_gradcon_deterministic_and_logged():
 def test_train_gradcon_constraint_changes_trajectory():
     images = tiny_images(8)
     base = dict(epochs=2, batch_size=4, learning_rate=1e-2, warmup_learning_rate=1e-2)
-    m1, _, _ = train_gradcon(images, GradconSection(**base, constraint_in_update=True),
-                             tiny_model(), 5)
-    m2, _, _ = train_gradcon(images, GradconSection(**base, constraint_in_update=False),
-                             tiny_model(), 5)
+    m1, _, _ = train_gradcon(images, GradconSection(**base), tiny_model(), 5)
+    m2, _, _ = train_gradcon(images, GradconSection(**base, alpha=0.0), tiny_model(), 5)
     assert params_checksum(m1.param_dict()) != params_checksum(m2.param_dict())
 
 

@@ -121,4 +121,6 @@ def test_write_pgm(tmp_path):
 def test_severity_labeling_dataclass_fields():
     lab = assign_severity_labels(np.array([2.0, 1.0]), 2)
     assert isinstance(lab, SeverityLabeling)
-    assert np.array_equal(lab.sorted_order, np.array([1, 0]))
+    assert lab.n_bins == 2
+    assert np.array_equal(lab.labels, np.array([1, 0]))
+    assert np.array_equal(lab.bin_sizes, np.array([1, 1]))

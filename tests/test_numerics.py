@@ -8,8 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import central_diff, rel_err
 from sevcon.numerics import (
@@ -26,7 +24,6 @@ from sevcon.numerics import (
     Sigmoid,
     UpsampleConv2d,
     bce_with_logits,
-    cosine_similarity,
     params_checksum,
     require_finite,
     sgd_step,
@@ -351,31 +348,6 @@ def test_sgd_rejects_non_finite_gradient_before_any_update():
 # ---------------------------------------------------------------------------
 # Scalar ops
 # ---------------------------------------------------------------------------
-
-
-finite_vecs = st.integers(2, 8).flatmap(
-    lambda n: st.lists(st.floats(-10, 10), min_size=n, max_size=n))
-
-
-@settings(max_examples=100, deadline=None)
-@given(finite_vecs, st.floats(0.1, 10.0))
-def test_cosine_properties(vals, scale):
-    a = np.asarray(vals)
-    b = np.asarray(vals[::-1])
-    c = cosine_similarity(a, b)
-    assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
-    assert cosine_similarity(b, a) == pytest.approx(c, abs=1e-12)
-    if np.linalg.norm(a) > 1e-6 and np.linalg.norm(b) > 1e-6:
-        assert cosine_similarity(scale * a, b) == pytest.approx(c, rel=1e-9)
-
-
-def test_cosine_zero_norm_is_zero():
-    assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
-
-
-def test_cosine_length_mismatch():
-    with pytest.raises(ShapeError):
-        cosine_similarity(np.ones(3), np.ones(4))
 
 
 def test_sigmoid_softmax_stable_and_correct():
