@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Miniature end-to-end run (~10 s): tiny corpus, single epochs. Useful as a
-# smoke test of the whole pipeline before committing to the full experiment.
+# Miniature end-to-end run (~20 s): scripts/run_experiment.sh, every stage of
+# it, on a tiny corpus with single epochs. Useful as a smoke test of the whole
+# pipeline before committing to the full experiment.
 #
 # Usage: scripts/quick_demo.sh RUN_DIR
 set -euo pipefail
@@ -39,29 +40,4 @@ epochs = 5
 classifier_epochs = 1
 EOF
 
-# Run this checkout's own code, installed or not.
-SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
-run() {
-  echo "+ sevcon $*"
-  PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -m sevcon.cli --run-dir "$RUN_DIR" "$@"
-}
-
-run --config "$CONFIG" gen-data
-run train-gradcon
-for scorer in severity msp odin mahalanobis; do
-  run score --scorer "$scorer"
-done
-for bins in 4 8 10; do
-  run make-labels --bins "$bins"
-  run pretrain --mode severity --bins "$bins"
-done
-run pretrain --mode simclr
-run pretrain --mode random
-for tag in severity_b4 severity_b8 severity_b10 simclr random; do
-  run probe --task multilabel --tag "$tag"
-  run evaluate --tag "$tag"
-done
-run ablate --bins 8
-run report
-
-echo "done; see $RUN_DIR/report/"
+"$(dirname "${BASH_SOURCE[0]}")/run_experiment.sh" "$RUN_DIR" "$CONFIG"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import BaselinesSection, ContrastiveSection, ProbeSection
 from .contrastive import pretrain
-from .evalprobe import EMBED_BLOCK, _embed_all, evaluate, train_probe
+from .evalprobe import EMBED_BLOCK, _embed_all, evaluate, train_head, train_probe
 from .labeling import assign_severity_labels
 from .models import build_backbone, build_classifier_head, build_projection_head
 from .numerics import (
@@ -34,14 +34,12 @@ from .numerics import (
 @dataclass
 class SupervisedClassifier:
     backbone: Network
-    multilabel_head: Network      # per-label sigmoid BCE head
-    combo_head: Network           # softmax over observed label combinations
-    combo_classes: Array          # (K, 5) multi-hot rows defining the classes
+    combo_head: Network  # softmax over the K observed label combinations
 
     def param_dict(self) -> dict[str, Array]:
-        """Each network's parameters, keyed b. (backbone), h. (multilabel
-        head) or c. (combo head) and then as in Network.param_dict."""
-        parts = {"b": self.backbone, "h": self.multilabel_head, "c": self.combo_head}
+        """Each network's parameters, keyed b. (backbone) or c. (combo head)
+        and then as in Network.param_dict."""
+        parts = {"b": self.backbone, "c": self.combo_head}
         return {f"{p}.{k}": v for p, net in parts.items() for k, v in net.named_params()}
 
     def load_param_dict(self, params: dict[str, Array]):
@@ -59,7 +57,8 @@ class GaussianClassStats:
 def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSection,
                                 b: BaselinesSection, seed: int) -> SupervisedClassifier:
     """Backbone + multi-label head trained jointly with per-label BCE, then a
-    frozen-feature auxiliary softmax head over the observed label combos.
+    frozen-feature softmax head over the observed label combinations, trained
+    by the probe's head loop. Only the backbone and that combo head are kept.
     The backbone is ``c.embedding_dim`` wide, as a pretrained one is."""
     images = as_f64(images)
     y = as_f64(multihot)
@@ -82,21 +81,13 @@ def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSe
             net.backward(dlogits, input_grad=False)
             sgd_step(opt, params, net.grad_dict())
 
-    combo_classes, combo_idx = np.unique(y.astype(np.int64), axis=0, return_inverse=True)
-    combo_head = build_classifier_head(c.embedding_dim, combo_classes.shape[0], seed + 3)
-    feats = backbone.forward(images)
-    c_params = combo_head.param_dict()
-    c_opt = SgdState(b.classifier_learning_rate, b.classifier_momentum)
-    c_shuffle = np.random.default_rng(seed + 4)
-    for _ in range(b.classifier_epochs):
-        order = c_shuffle.permutation(n)
-        for start in range(0, n, b.classifier_batch_size):
-            idx = order[start:start + b.classifier_batch_size]
-            logits = combo_head.forward(feats[idx])
-            loss, dlogits = softmax_ce_with_logits(logits, combo_idx[idx])
-            combo_head.backward(dlogits, input_grad=False)
-            sgd_step(c_opt, c_params, combo_head.grad_dict())
-    return SupervisedClassifier(backbone, head, combo_head, combo_classes)
+    combos, combo_idx = np.unique(y.astype(np.int64), axis=0, return_inverse=True)
+    combo_head = build_classifier_head(c.embedding_dim, combos.shape[0], seed + 3)
+    p = ProbeSection(b.classifier_epochs, b.classifier_batch_size,
+                     b.classifier_learning_rate, b.classifier_momentum)
+    train_head(combo_head, backbone.forward(images), combo_idx, softmax_ce_with_logits,
+               p, seed + 4)
+    return SupervisedClassifier(backbone, combo_head)
 
 
 def msp_from_logits(logits: Array) -> Array:

@@ -1,8 +1,9 @@
 """Checkpoint persistence: npz payload with a JSON metadata record.
 
 Round-trips are bitwise exact: parameter arrays are stored raw as float64.
-`atomic_open` is the write-then-rename step that checkpoints, the CLI's CSVs
-and dataset manifests go through.
+`atomic_open` is the write-then-rename step that checkpoints, CSVs, JSON
+records, the report's image, the run's config.ini and dataset manifests go
+through.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ FORMAT_VERSION = 1
 
 @contextmanager
 def atomic_open(path: Path, mode: str = "w", **kwargs):
-    """Open ``<path>.tmp`` for writing and rename it over `path` once the
-    block completes. If the block raises, the temporary file is deleted and
-    `path` keeps its previous contents, so an interrupted write never leaves a
-    cut-short file that still parses."""
+    """Open ``<path>.tmp`` for writing, creating its directory, and rename it
+    over `path` once the block completes. If the block raises, the temporary
+    file is deleted and `path` keeps its previous contents, so an interrupted
+    write never leaves a cut-short file that still parses."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, mode, **kwargs) as f:

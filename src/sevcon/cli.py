@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import zipfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +49,10 @@ def _run_config(run_dir: Path, config_path: str | None, force: bool) -> Experime
                 raise ConfigError(
                     "config hash differs from the run directory's config.ini; "
                     "rerun with --force to override")
-        run_dir.mkdir(parents=True, exist_ok=True)
         cfg.save(stored)
         return cfg
     if not stored.exists():
         cfg = ExperimentConfig()
-        run_dir.mkdir(parents=True, exist_ok=True)
         cfg.save(stored)
         return cfg
     return load_config(stored)
@@ -66,27 +65,19 @@ def _check_hash(artifact_hash: str, cfg: ExperimentConfig, what: str, force: boo
             f"({artifact_hash} != {cfg.config_hash()}); use --force to proceed")
 
 
-def _require(path: Path, produced_by: str) -> Path:
+def _read_artifact(path: Path, produced_by: str, read):
+    """`read(path)` of an artifact that `sevcon <produced_by>` writes; a
+    missing or unreadable one is a missing artifact."""
     if not path.exists():
         raise MissingArtifactError(
             f"missing artifact {path}; run `sevcon {produced_by}` first")
-    return path
-
-
-def _read_artifact(path: Path, produced_by: str, read):
-    """`read(path)`, with an unreadable artifact raised as a missing one."""
     try:
         return read(path)
-    except (OSError, EOFError, KeyError, ValueError, csv.Error, zipfile.BadZipFile) as e:
+    except (OSError, EOFError, KeyError, TypeError, ValueError, csv.Error,
+            zipfile.BadZipFile) as e:
         raise MissingArtifactError(
             f"cannot read artifact {path} ({type(e).__name__}: {e}); "
             f"remove it and rerun `sevcon {produced_by}`") from None
-
-
-def _load_artifact(path: Path, produced_by: str) -> Checkpoint:
-    """Load a checkpoint that `sevcon <produced_by>` writes; a missing or
-    unreadable file is a missing artifact."""
-    return _read_artifact(_require(path, produced_by), produced_by, load_checkpoint)
 
 
 def _load_model(path: Path, produced_by: str, what: str, cfg: ExperimentConfig,
@@ -96,7 +87,7 @@ def _load_model(path: Path, produced_by: str, what: str, cfg: ExperimentConfig,
     config hash is checked. A checkpoint whose parameter keys, shapes or
     metadata do not fit the model is a missing artifact, as a missing or
     unreadable one is."""
-    ckpt = _load_artifact(path, produced_by)
+    ckpt = _read_artifact(path, produced_by, load_checkpoint)
     _check_hash(ckpt.config_hash, cfg, what, force)
 
     def fit(_):
@@ -135,15 +126,14 @@ def _read_checked(path: Path, produced_by: str, sample_ids: list[str],
             raise ValueError("the sample ids do not match the corpus")
         return {name: np.array([typ(r[name]) for r in records])
                 for name, typ in columns.items()}
-    return _read_artifact(_require(path, produced_by), produced_by, read)
+    return _read_artifact(path, produced_by, read)
 
 
 def _load_dataset(run_dir: Path, name: str) -> synthdata.Dataset:
     """The one way stages read a data split; a split that is missing,
     unreadable or of an older layout is a missing artifact."""
-    directory = run_dir / "data" / name
-    _require(directory / "manifest.json", "gen-data")
-    return _read_artifact(directory, "gen-data", synthdata.load_dataset)
+    return _read_artifact(run_dir / "data" / name / "manifest.json", "gen-data",
+                          lambda p: synthdata.load_dataset(p.parent))
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +144,11 @@ def _load_dataset(run_dir: Path, name: str) -> synthdata.Dataset:
 def stage_gen_data(run_dir: Path, cfg: ExperimentConfig, force: bool):
     d = cfg.data
     meta = {"config_hash": cfg.config_hash(), "seed": cfg.seed}
-    healthy = synthdata.generate_healthy(d, cfg.seed)
-    synthdata.save_dataset(run_dir / "data" / "healthy", healthy,
-                           {**meta, "split": "healthy"})
-    unlabeled = synthdata.generate_unlabeled(d, cfg.seed)
-    synthdata.save_dataset(run_dir / "data" / "unlabeled", unlabeled,
-                           {**meta, "split": "unlabeled"})
-    splits = synthdata.generate_labeled_splits(d, cfg.seed)
-    synthdata.save_dataset(run_dir / "data" / "labeled_train", splits.train,
-                           {**meta, "split": "labeled_train"})
-    for name, ds in splits.binary_tests.items():
-        synthdata.save_dataset(run_dir / "data" / f"test_{name}", ds,
-                               {**meta, "split": f"test_{name}"})
-    synthdata.save_dataset(run_dir / "data" / "test_multilabel", splits.multilabel_test,
-                           {**meta, "split": "test_multilabel"})
+    splits = {"healthy": synthdata.generate_healthy(d, cfg.seed),
+              "unlabeled": synthdata.generate_unlabeled(d, cfg.seed),
+              **synthdata.generate_labeled_splits(d, cfg.seed)}
+    for name, ds in splits.items():
+        synthdata.save_dataset(run_dir / "data" / name, ds, {**meta, "split": name})
     print(f"gen-data: wrote {d.n_healthy} healthy, {d.n_unlabeled} unlabeled, "
           f"labeled splits under {run_dir / 'data'}")
 
@@ -184,7 +165,6 @@ def stage_train_gradcon(run_dir: Path, cfg: ExperimentConfig, force: bool):
     model, ref, log = gradcon.train_gradcon(train_imgs, g, model, seed, heldout=held_imgs)
 
     out = run_dir / "gradcon"
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "autoencoder.npz", Checkpoint(
         "autoencoder", model.param_dict(), epoch=g.epochs,
         config_hash=cfg.config_hash(), seed=seed,
@@ -217,8 +197,8 @@ def _load_gradcon(run_dir: Path, cfg: ExperimentConfig, force: bool):
             raise ValueError("the reference gradients do not fit the autoencoder")
         return gradcon.ReferenceGradients(means, rckpt.extra["count"])
 
-    path = _require(run_dir / "gradcon" / "reference.npz", "train-gradcon")
-    return model, _read_artifact(path, "train-gradcon", reference)
+    return model, _read_artifact(run_dir / "gradcon" / "reference.npz", "train-gradcon",
+                                 reference)
 
 
 def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool):
@@ -226,24 +206,20 @@ def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool)
     train = _load_dataset(run_dir, "labeled_train")
     if path.exists():
         def build(ckpt: Checkpoint) -> baselines.SupervisedClassifier:
-            # layer widths come from the stored head weights, shaped (embedding, classes)
-            ml_w, combo_w = ckpt.params["h.0.w"], ckpt.params["c.0.w"]
+            # both widths come from the combo head's weights, shaped (embedding, classes)
+            w = ckpt.params["c.0.w"]
             return baselines.SupervisedClassifier(
-                models.build_backbone(cfg.data.image_side, ml_w.shape[0], 0),
-                models.build_classifier_head(*ml_w.shape, 0),
-                models.build_classifier_head(*combo_w.shape, 0),
-                np.array(ckpt.extra["combo_classes"], dtype=np.int64))
+                models.build_backbone(cfg.data.image_side, w.shape[0], 0),
+                models.build_classifier_head(*w.shape, 0))
 
         return _load_model(path, "score --scorer msp", "supervised classifier", cfg, force,
                            build), train
     clf = baselines.train_supervised_classifier(train.images, train.multihot(),
                                                 cfg.contrastive, cfg.baselines,
                                                 cfg.derive_seed("classifier"))
-    path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(path, Checkpoint(
         "classifier", clf.param_dict(), config_hash=cfg.config_hash(),
-        seed=cfg.derive_seed("classifier"),
-        extra={"combo_classes": clf.combo_classes.tolist()}))
+        seed=cfg.derive_seed("classifier")))
     return clf, train
 
 
@@ -267,10 +243,8 @@ def _score_corpus(run_dir: Path, cfg: ExperimentConfig, scorer: str, force: bool
 def stage_score(run_dir: Path, cfg: ExperimentConfig, scorer: str, force: bool):
     _, rows = _score_corpus(run_dir, cfg, scorer, force)
     require_finite([r[3] for r in rows], f"{scorer} scores")
-    out = run_dir / "scores"
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"{scorer}.csv", ["sample_id", "l_recon", "l_grad", "severity"],
-               rows, cfg)
+    _write_csv(run_dir / "scores" / f"{scorer}.csv",
+               ["sample_id", "l_recon", "l_grad", "severity"], rows, cfg)
     print(f"score: wrote {len(rows)} {scorer} scores")
 
 
@@ -293,9 +267,7 @@ def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer:
     ids = _load_dataset(run_dir, "unlabeled").sample_ids
     scores = _load_scores(run_dir, scorer, ids)
     lab = _severity_labels(scores, n_bins)
-    out = run_dir / "labels"
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"{scorer}_bins{n_bins}.csv",
+    _write_csv(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv",
                ["sample_id", "severity", "bin_label"],
                [[sid, float(s), int(l)] for sid, s, l in zip(ids, scores, lab.labels)],
                cfg)
@@ -343,7 +315,6 @@ def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
         raise ConfigError(f"unknown pretrain mode {mode!r}")
 
     out = run_dir / "pretrain"
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / f"backbone_{tag}.npz", Checkpoint(
         "backbone", backbone.param_dict(),
         epoch=len(curve), config_hash=cfg.config_hash(),
@@ -379,9 +350,7 @@ def stage_probe(run_dir: Path, cfg: ExperimentConfig, task: str, tag: str, force
     seed = cfg.derive_seed(f"probe-train-{task}")
     norm = (cfg.contrastive.normalize_mean, cfg.contrastive.normalize_std)
     evalprobe.train_probe(backbone, head, train.images, y, cfg.probe, seed, normalize=norm)
-    out = run_dir / "probe"
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / f"head_{tag}_{task}.npz", Checkpoint(
+    save_checkpoint(run_dir / "probe" / f"head_{tag}_{task}.npz", Checkpoint(
         "classifier-head", head.param_dict(), epoch=cfg.probe.epochs,
         config_hash=cfg.config_hash(), seed=seed,
         extra={"tag": tag, "task": task, "output_dim": out_dim,
@@ -422,9 +391,8 @@ def stage_evaluate(run_dir: Path, cfg: ExperimentConfig, tag: str, force: bool):
                                 provenance={"config_hash": cfg.config_hash(),
                                             "seed": cfg.seed, "tag": tag},
                                 normalize=norm)
-    out = run_dir / "probe"
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"result_{tag}.json").write_text(result.to_json())
+    with atomic_open(run_dir / "probe" / f"result_{tag}.json") as f:
+        f.write(json.dumps(asdict(result), indent=2, sort_keys=True))
     ml = f", mean AUC {result.mean_auc:.4f}" if result.per_label_auc else ""
     print(f"evaluate[{tag}]: {len(binary_heads)} binary tasks{ml}")
 
@@ -440,35 +408,35 @@ def stage_ablate(run_dir: Path, cfg: ExperimentConfig, n_bins: int, force: bool)
         scores_by_scorer, unlabeled.images,
         (train.images, train.multihot()), (ml.images, ml.multihot()),
         n_bins, cfg.contrastive, cfg.probe, cfg.derive_seed("ablate"))
-    out = run_dir / "report"
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "ablation.csv", ["scorer", "n_bins", "mean_auc"],
+    _write_csv(run_dir / "report" / "ablation.csv", ["scorer", "n_bins", "mean_auc"],
                [[r["scorer"], r["n_bins"], r["mean_auc"]] for r in rows], cfg)
     print(f"ablate: {len(rows)} scorers at N={n_bins}")
 
 
 def stage_report(run_dir: Path, cfg: ExperimentConfig, force: bool):
     out = run_dir / "report"
-    out.mkdir(parents=True, exist_ok=True)
     tags = [f"severity_b{n}" for n in cfg.labeling.report_bin_list()]
     tags += ["simclr", "random"]
+
+    def table_cells(path: Path) -> list:
+        # every field is read here, so a result that lacks one is unreadable
+        result = json.loads(path.read_text())
+        cells = []
+        for name in synthdata.BIOMARKER_NAMES:
+            if name in result["per_biomarker"]:
+                m = result["per_biomarker"][name]
+                cells.append(f"{m['accuracy']:.4f}/{m['f1']:.4f}")
+            else:
+                cells.append("")
+        return cells + [result["mean_auc"]]
+
     rows = []
     included = []
     for tag in tags:
         path = run_dir / "probe" / f"result_{tag}.json"
         if not path.exists():
             continue
-        result = _read_artifact(path, f"evaluate --tag {tag}",
-                                lambda p: evalprobe.ProbeResult.from_json(p.read_text()))
-        row = [tag]
-        for name in synthdata.BIOMARKER_NAMES:
-            if name in result.per_biomarker:
-                m = result.per_biomarker[name]
-                row.append(f"{m['accuracy']:.4f}/{m['f1']:.4f}")
-            else:
-                row.append("")
-        row.append(result.mean_auc)
-        rows.append(row)
+        rows.append([tag, *_read_artifact(path, f"evaluate --tag {tag}", table_cells)])
         included.append(tag)
     if not rows:
         raise MissingArtifactError(
@@ -493,15 +461,16 @@ def stage_report(run_dir: Path, cfg: ExperimentConfig, force: bool):
                ["method", *synthdata.BIOMARKER_NAMES, "multi_label"], rows, cfg)
     if extremes is not None:
         labeling.write_pgm(out / "extreme_bins.pgm", sheet)
-        (out / "extremes.json").write_text(json.dumps(extremes, indent=2, sort_keys=True))
-
-    (out / "report.json").write_text(json.dumps({
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "methods": included,
-        "has_ablation": (out / "ablation.csv").exists(),
-        "has_extremes": extremes is not None,
-    }, indent=2, sort_keys=True))
+        with atomic_open(out / "extremes.json") as f:
+            f.write(json.dumps(extremes, indent=2, sort_keys=True))
+    with atomic_open(out / "report.json") as f:
+        f.write(json.dumps({
+            "config_hash": cfg.config_hash(),
+            "seed": cfg.seed,
+            "methods": included,
+            "has_ablation": (out / "ablation.csv").exists(),
+            "has_extremes": extremes is not None,
+        }, indent=2, sort_keys=True))
     print(f"report: table1.csv with {len(rows)} methods"
           + (", extreme-bin sheet" if extremes else ""))
 

@@ -9,6 +9,7 @@ import io
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .checkpoint import atomic_open
 from .models import SUPPORTED_SIDES
 
 
@@ -131,7 +132,8 @@ class ExperimentConfig:
         return buf.getvalue()
 
     def save(self, path: Path):
-        Path(path).write_text(self.to_ini())
+        with atomic_open(path) as f:
+            f.write(self.to_ini())
 
 
 def _convert(raw: str, typ, key: str):
@@ -183,14 +185,30 @@ def load_config(path: Path) -> ExperimentConfig:
     if cfg.data.n_test_per_biomarker % 2:
         raise ConfigError(f"data.n_test_per_biomarker {cfg.data.n_test_per_biomarker} "
                           "must be even: each binary test set is half positive")
-    # a SupCon step needs two sources; smaller batches or corpora train nothing
-    if cfg.contrastive.batch_size < 2:
-        raise ConfigError(f"contrastive.batch_size {cfg.contrastive.batch_size} "
-                          "must be at least 2")
-    if cfg.data.n_unlabeled < 2:
-        raise ConfigError(f"data.n_unlabeled {cfg.data.n_unlabeled} must be at least 2")
-    if cfg.gradcon.epochs < 1:
-        raise ConfigError(f"gradcon.epochs {cfg.gradcon.epochs} must be at least 1")
+    # the least value each stage runs with: every split needs a sample and the
+    # lesion-bearing ones a lesion, a SupCon step needs two sources, the
+    # autoencoder a latent of 4, a report one image per extreme bin
+    least = {("data", "n_healthy"): 1, ("data", "n_unlabeled"): 2,
+             ("data", "n_labeled_train"): 1, ("data", "n_test_per_biomarker"): 2,
+             ("data", "n_multilabel_test"): 1, ("data", "severity_max"): 1,
+             ("gradcon", "epochs"): 1, ("gradcon", "latent_dim"): 4,
+             ("gradcon", "heldout_count"): 0, ("labeling", "extreme_report_k"): 1,
+             ("contrastive", "batch_size"): 2, ("contrastive", "embedding_dim"): 1,
+             ("contrastive", "projection_dim"): 1}
+    for (sec_name, key), low in least.items():
+        value = getattr(getattr(cfg, sec_name), key)
+        if value < low:
+            raise ConfigError(f"{sec_name}.{key} {value} must be at least {low}")
+    c, b = cfg.contrastive, cfg.baselines
+    for key, value in [("contrastive.tau", c.tau),
+                       ("baselines.odin_temperature", b.odin_temperature)]:
+        if not value > 0:
+            raise ConfigError(f"{key} {value} must be positive")
+    if not b.odin_epsilon >= 0:
+        raise ConfigError(f"baselines.odin_epsilon {b.odin_epsilon} must be non-negative")
+    if not 0 < c.crop_scale_min <= c.crop_scale_max <= 1:
+        raise ConfigError(f"contrastive.crop_scale_min {c.crop_scale_min} and crop_scale_max "
+                          f"{c.crop_scale_max} must satisfy 0 < min <= max <= 1")
     # every training loop takes batches and an SGD rate and momentum
     for sec_name in _SECTION_TYPES:
         for key, value in vars(getattr(cfg, sec_name)).items():

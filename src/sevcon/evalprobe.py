@@ -3,7 +3,6 @@ accuracy, F1, per-label ROC-AUC, and mean AUC."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,20 +25,6 @@ class ProbeResult:
     per_label_auc: dict[str, float]
     mean_auc: float
     provenance: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "per_biomarker": self.per_biomarker,
-            "per_label_auc": self.per_label_auc,
-            "mean_auc": self.mean_auc,
-            "provenance": self.provenance,
-        }, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProbeResult":
-        d = json.loads(text)
-        return cls(d["per_biomarker"], d["per_label_auc"], d["mean_auc"],
-                   d.get("provenance", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +99,28 @@ def _embed_all(backbone: Network, images: Array,
     return np.concatenate(outs, axis=0)
 
 
+def train_head(head: Network, feats: Array, targets: Array, loss, p: ProbeSection,
+               seed: int) -> Network:
+    """SGD on `head` alone over fixed features, `p.epochs` shuffled passes of
+    `p.batch_size` rows. `loss(logits, targets)` returns (loss, dlogits)."""
+    rng = np.random.default_rng(seed)
+    opt = SgdState(p.learning_rate, p.momentum)
+    params = head.param_dict()
+    n = feats.shape[0]
+    for _ in range(p.epochs):
+        order = rng.permutation(n)
+        # one gather per epoch; each batch is then a slice of it
+        feats_ep, y_ep = feats[order], targets[order]
+        for start in range(0, n, p.batch_size):
+            stop = start + p.batch_size
+            value, dlogits = loss(head.forward(feats_ep[start:stop]), y_ep[start:stop])
+            if not np.isfinite(value):
+                raise NumericalError("non-finite head loss")
+            head.backward(dlogits, input_grad=False)
+            sgd_step(opt, params, head.grad_dict())
+    return head
+
+
 def train_probe(backbone: Network, head: Network, images: Array,
                 labels: Array, p: ProbeSection, seed: int,
                 normalize: tuple[float, float] | None = None) -> Network:
@@ -129,23 +136,7 @@ def train_probe(backbone: Network, head: Network, images: Array,
     out_dim = head.layers[-1].n_out
     if y.shape[1] != out_dim:
         raise ValueError(f"label width {y.shape[1]} != head output width {out_dim}")
-    rng = np.random.default_rng(seed)
-    opt = SgdState(p.learning_rate, p.momentum)
-    params = head.param_dict()
-    n = feats.shape[0]
-    for _ in range(p.epochs):
-        order = rng.permutation(n)
-        # one gather per epoch; each batch is then a slice of it
-        feats_ep, y_ep = feats[order], y[order]
-        for start in range(0, n, p.batch_size):
-            stop = start + p.batch_size
-            logits = head.forward(feats_ep[start:stop])
-            loss, dlogits = bce_with_logits(logits, y_ep[start:stop])
-            if not np.isfinite(loss):
-                raise NumericalError("non-finite probe loss")
-            head.backward(dlogits, input_grad=False)
-            sgd_step(opt, params, head.grad_dict())
-    return head
+    return train_head(head, feats, y, bce_with_logits, p, seed)
 
 
 def predict_scores(backbone: Network, head: Network, images: Array,

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .numerics import Array, as_f64
 
 
@@ -71,6 +72,6 @@ def write_pgm(path, image: Array):
     pix = np.clip(image, 0.0, 1.0)
     data = np.round(pix * 255.0).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())
         f.write(data.tobytes())

@@ -7,7 +7,6 @@ Batched layouts: dense inputs are (B, D), image inputs are (B, C, H, W).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,9 +212,10 @@ class UpsampleConv2d(Layer):
     with the phase kernels channel-swapped: one GEMM, no scatter-add.
 
     The parameters are those of the replaced Conv2d, w (C_out, C_in, 3, 3)
-    and b, drawn by the same call; ``backward(dout, input_grad=False)`` and
-    ``backward(dout, per_sample=True)`` are as in Conv2d, each image's phase
-    gradient folded back on its own. Named "conv2d", as a stride-1 Conv2d is."""
+    and b, drawn by the same call; ``backward(dout, per_sample=True)`` is as
+    in Conv2d, each image's phase gradient folded back on its own. It never
+    runs first in a network, so it always returns its input gradient. Named
+    "conv2d", as a stride-1 Conv2d is."""
 
     name = "conv2d"
 
@@ -250,7 +250,7 @@ class UpsampleConv2d(Layer):
         self._cache = (cols, k, x.shape)
         return out
 
-    def backward(self, dout, input_grad=True, per_sample=False):
+    def backward(self, dout, per_sample=False):
         self._require_cache()
         cols, k, (B, C, H, W) = self._cache
         # the four phase grids of dout, (B, 4, C_out, H*W)
@@ -262,8 +262,6 @@ class UpsampleConv2d(Layer):
         dw = (dk.reshape(-1, 16) @ _PHASE_FOLD.T).reshape((-1,) + self.params["w"].shape)
         self.grads["w"] = dw if per_sample else dw[0]
         self.grads["b"] = dmat.sum(axis=(0, 1, 3))
-        if not input_grad:
-            return None
         dpad = np.zeros((B, 2, 2, self.c_out, H + 2, W + 2))
         dpad[..., 1:H + 1, 1:W + 1] = dmat.reshape(B, 2, 2, self.c_out, H, W)
         dcols = np.empty((B, 2, 2, self.c_out, 2, 2, H, W))
@@ -391,14 +389,6 @@ def load_params(targets: dict[str, Array], params: dict[str, Array]):
             raise ShapeError(f"param {key}: shape {params[key].shape} != {target.shape}")
     for key, target in targets.items():
         target[...] = params[key]
-
-
-def params_checksum(params: dict[str, Array]) -> str:
-    h = hashlib.sha256()
-    for key in sorted(params):
-        h.update(key.encode())
-        h.update(np.ascontiguousarray(params[key]).tobytes())
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

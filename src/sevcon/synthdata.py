@@ -67,13 +67,6 @@ class Dataset:
 
 
 @dataclass
-class LabeledSplits:
-    train: Dataset
-    binary_tests: dict[str, Dataset]  # biomarker name -> balanced 50/50 set
-    multilabel_test: Dataset
-
-
-@dataclass
 class Lesion:
     kind: int  # index into LESION_TYPES
     params: dict = field(default_factory=dict)
@@ -210,17 +203,15 @@ def generate_unlabeled(data: DataSection, seed: int) -> Dataset:
                           for i in range(data.n_unlabeled)])
 
 
-def generate_labeled_splits(data: DataSection, seed: int) -> LabeledSplits:
-    """Labeled train set, five balanced binary test sets (50/50 biomarker
-    present/absent), and a multi-label test set, all id-disjoint."""
+def generate_labeled_splits(data: DataSection, seed: int) -> dict[str, Dataset]:
+    """The labeled splits by directory name, all id-disjoint: the train set
+    ``labeled_train``, five balanced binary test sets ``test_<biomarker>``
+    (50/50 biomarker present/absent), and a multi-label ``test_multilabel``."""
     n_test_per_biomarker = data.n_test_per_biomarker
     if n_test_per_biomarker % 2 != 0:
         raise ValueError("n_test_per_biomarker must be even for balanced sets")
-    train = _make_samples(data, seed, "train",
-                          [_mixed_plan(data, seed, "train", i)
-                           for i in range(data.n_labeled_train)])
-
-    binary_tests: dict[str, Dataset] = {}
+    plans = [_mixed_plan(data, seed, "train", i) for i in range(data.n_labeled_train)]
+    splits = {"labeled_train": _make_samples(data, seed, "train", plans)}
     half = n_test_per_biomarker // 2
     for j, name in enumerate(BIOMARKER_NAMES):
         ns = f"test_{name}"
@@ -235,12 +226,11 @@ def generate_labeled_splits(data: DataSection, seed: int) -> LabeledSplits:
                 kinds = [others[int(rng.integers(0, len(others)))]
                          for _ in range(int(rng.integers(0, 4)))]
             lesion_lists.append(_random_lesions(data, seed, ns, i, kinds))
-        binary_tests[name] = _make_samples(data, seed, ns, lesion_lists)
-
-    ml = _make_samples(data, seed, "test_multilabel",
-                       [_mixed_plan(data, seed, "test_multilabel", i)
-                        for i in range(data.n_multilabel_test)])
-    return LabeledSplits(train, binary_tests, ml)
+        splits[ns] = _make_samples(data, seed, ns, lesion_lists)
+    plans = [_mixed_plan(data, seed, "test_multilabel", i)
+             for i in range(data.n_multilabel_test)]
+    splits["test_multilabel"] = _make_samples(data, seed, "test_multilabel", plans)
+    return splits
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,18 @@
-"""Shared test helpers: central finite differences against analytic gradients."""
+"""Shared test helpers: central finite differences against analytic
+gradients, and a checksum of a parameter dict."""
+
+import hashlib
 
 import numpy as np
+
+
+def params_checksum(params):
+    """sha256 over the sorted keys and each array's raw bytes."""
+    h = hashlib.sha256()
+    for key in sorted(params):
+        h.update(key.encode())
+        h.update(np.ascontiguousarray(params[key]).tobytes())
+    return h.hexdigest()
 
 
 def central_diff(f, x, eps=1e-6):

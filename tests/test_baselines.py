@@ -45,7 +45,7 @@ def test_msp_score_orientation(tiny_classifier):
     s = msp_score(clf, images[0])
     probs = softmax(clf.combo_head.forward(clf.backbone.forward(images[:1]))[0])
     assert s == -probs.max()
-    assert -1.0 <= s <= -1.0 / clf.combo_classes.shape[0]
+    assert -1.0 <= s <= -1.0 / clf.combo_head.layers[-1].n_out
 
 
 def test_odin_at_t1_eps0_is_bitwise_msp(tiny_classifier):

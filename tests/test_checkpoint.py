@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sevcon.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from sevcon.checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from sevcon.cli import _write_csv
 from sevcon.config import ExperimentConfig
 
@@ -26,6 +26,14 @@ def test_round_trip_bitwise(tmp_path):
     for k in params:
         assert np.array_equal(back.params[k], params[k])
         assert back.params[k].tobytes() == params[k].tobytes()  # bitwise
+
+
+def test_atomic_open_creates_a_missing_directory(tmp_path):
+    path = tmp_path / "new" / "nested" / "out.txt"
+    with atomic_open(path) as f:
+        f.write("written")
+    assert path.read_text() == "written"
+    assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
 
 
 def test_reads_checkpoint_with_optimizer_velocities(tmp_path):

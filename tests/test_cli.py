@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sevcon import baselines
+from sevcon import baselines, checkpoint
 from sevcon.checkpoint import load_checkpoint, save_checkpoint
 from sevcon.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_NUMERIC, EXIT_OK, main
 
@@ -166,7 +166,22 @@ def test_exit_codes(small_run, tmp_path, capsys):
                                 ("gradcon", "learning_rate", "-1"),
                                 ("contrastive", "learning_rate", "nan"),
                                 ("gradcon", "momentum", "1.0"),
-                                ("probe", "momentum", "-0.5")]:
+                                ("probe", "momentum", "-0.5"),
+                                # values a stage would crash on or misuse
+                                ("contrastive", "tau", "0"),
+                                ("data", "n_healthy", "0"),
+                                ("data", "n_labeled_train", "0"),
+                                ("data", "n_multilabel_test", "0"),
+                                ("data", "n_test_per_biomarker", "0"),
+                                ("data", "severity_max", "-1"),
+                                ("gradcon", "latent_dim", "2"),
+                                ("gradcon", "heldout_count", "-1"),
+                                ("contrastive", "embedding_dim", "0"),
+                                ("contrastive", "crop_scale_min", "2"),
+                                ("baselines", "odin_temperature", "0"),
+                                ("baselines", "odin_epsilon", "-1"),
+                                ("labeling", "extreme_report_k", "-1"),
+                                ("labeling", "extreme_report_k", "0")]:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         capsys.readouterr()
         assert main(["--run-dir", str(fresh), "--config", str(bad),
@@ -193,7 +208,21 @@ def test_exit_codes(small_run, tmp_path, capsys):
     intact = result.read_bytes()
     result.write_bytes(intact[:50])
     assert main(["--run-dir", str(run), "report"]) == EXIT_MISSING
+    fields = json.loads(intact)
+    del fields["mean_auc"]  # parses, but lacks a field the table needs
+    for text in (json.dumps(fields), "[]"):  # or is not a record at all
+        result.write_text(text)
+        capsys.readouterr()
+        assert main(["--run-dir", str(run), "report"]) == EXIT_MISSING, text
+        assert "rerun `sevcon evaluate --tag simclr`" in capsys.readouterr().err
     result.write_bytes(intact)
+    # a rejected value exits 2 before the stage writes, also with --force
+    odin = tmp_path / "odin.ini"
+    odin.write_text(SMALL_INI.replace("odin_temperature = 1.0", "odin_temperature = 0"))
+    stored = (run / "config.ini").read_bytes()
+    assert main(["--run-dir", str(run), "--config", str(odin), "--force",
+                 "score", "--scorer", "odin"]) == EXIT_CONFIG
+    assert (run / "config.ini").read_bytes() == stored
     labels = run / "labels" / "severity_bins8.csv"
     labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
     assert main(["--run-dir", str(run), "pretrain", "--bins", "8"]) == EXIT_MISSING
@@ -206,6 +235,7 @@ def test_exit_codes(small_run, tmp_path, capsys):
     # every shape must match, and the damaged file names the stage to rerun
     ae = load_checkpoint(run / "gradcon" / "autoencoder.npz").params
     ref = load_checkpoint(run / "gradcon" / "reference.npz").params
+    clf = load_checkpoint(run / "baselines" / "classifier.npz").params
     damaged = [
         # a NaN in a parameter or a reference mean
         ("gradcon/autoencoder.npz", "train-gradcon", ["score"],
@@ -222,6 +252,9 @@ def test_exit_codes(small_run, tmp_path, capsys):
          {pre_fusion_key(k): v for k, v in ae.items()}),
         ("gradcon/reference.npz", "train-gradcon", ["score"], {"layer0": np.zeros(3)}),
         ("baselines/classifier.npz", "score --scorer msp", ["score", "--scorer", "msp"], None),
+        # an older classifier, which also stored its multi-label head
+        ("baselines/classifier.npz", "score --scorer msp", ["score", "--scorer", "msp"],
+         dict(clf, **{"h.0.w": np.zeros((64, 5)), "h.0.b": np.zeros(5)})),
         ("pretrain/backbone_simclr.npz", "pretrain (tag simclr)",
          ["probe", "--task", "bio_a", "--tag", "simclr"], None),
         ("probe/head_simclr_bio_a.npz", "probe --task bio_a --tag simclr",
@@ -309,6 +342,24 @@ def test_exit_codes(small_run, tmp_path, capsys):
     assert (sampled / "report" / "ablation.csv").read_bytes() == ablation
 
 
+def test_interrupted_write_keeps_the_earlier_result(small_run, tmp_path, monkeypatch):
+    run = tmp_path / "run"
+    shutil.copytree(small_run[0], run)
+    result = run / "probe" / "result_simclr.json"
+    earlier = result.read_bytes() + b"\n# from an earlier evaluate\n"
+    result.write_bytes(earlier)
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(checkpoint.os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        main(["--run-dir", str(run), "evaluate", "--tag", "simclr"])
+    monkeypatch.undo()
+    assert result.read_bytes() == earlier
+    assert not result.with_name(result.name + ".tmp").exists()
+
+
 def test_config_hash_mismatch_is_config_error(small_run, tmp_path):
     run, _ = small_run
     changed = tmp_path / "changed.ini"
@@ -353,7 +404,7 @@ def test_contrastive_dims_reach_classifier_and_ablation(tmp_path, monkeypatch):
     for scorer in ("severity", "msp", "odin", "mahalanobis"):
         assert cli("score", "--scorer", scorer) == EXIT_OK
     params = load_checkpoint(run / "baselines" / "classifier.npz").params
-    assert params["h.0.w"].shape[0] == params["c.0.w"].shape[0] == 16
+    assert params["c.0.w"].shape[0] == 16
     # the second msp run reloads the stored classifier at its stored widths
     trained = (run / "scores" / "msp.csv").read_bytes()
     assert cli("score", "--scorer", "msp") == EXIT_OK

@@ -4,7 +4,7 @@ augmentation against a per-image oracle, and pretraining smoke tests."""
 import numpy as np
 import pytest
 
-from conftest import rel_err
+from conftest import params_checksum, rel_err
 from sevcon.config import ContrastiveSection
 from sevcon.contrastive import (
     augment,
@@ -18,7 +18,6 @@ from sevcon.models import (
     build_projection_head,
     normalize_rows_backward,
 )
-from sevcon.numerics import params_checksum
 
 RNG = np.random.default_rng(11)
 

@@ -5,7 +5,6 @@ import pytest
 
 from sevcon.config import ProbeSection
 from sevcon.evalprobe import (
-    ProbeResult,
     _embed_all,
     accuracy,
     evaluate,
@@ -157,7 +156,3 @@ def test_evaluate_structure_and_warnings():
     assert set(result.per_label_auc) == {"bio_a", "bio_b", "bio_c", "bio_d", "bio_e"}
     assert result.mean_auc == pytest.approx(np.mean(list(result.per_label_auc.values())))
     assert "warnings" in result.provenance  # unbalanced binary set flagged
-
-    round_trip = ProbeResult.from_json(result.to_json())
-    assert round_trip.mean_auc == result.mean_auc
-    assert round_trip.per_biomarker == result.per_biomarker

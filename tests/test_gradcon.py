@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, params_checksum, rel_err
 from sevcon import gradcon
 from sevcon.config import GradconSection
 from sevcon.gradcon import (
@@ -25,7 +25,7 @@ from sevcon.gradcon import (
     update_reference,
 )
 from sevcon.models import MICRO_BATCH, build_autoencoder
-from sevcon.numerics import ShapeError, params_checksum
+from sevcon.numerics import ShapeError
 
 RNG = np.random.default_rng(7)
 

@@ -22,9 +22,9 @@ from sevcon.numerics import (
     Reshape,
     ShapeError,
     Sigmoid,
-    params_checksum,
 )
 
+from conftest import params_checksum
 from test_numerics import NearestUpsample
 
 RNG = np.random.default_rng(3)

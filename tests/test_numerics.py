@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, params_checksum, rel_err
 from sevcon.numerics import (
     Conv2d,
     Dense,
@@ -24,7 +24,6 @@ from sevcon.numerics import (
     Sigmoid,
     UpsampleConv2d,
     bce_with_logits,
-    params_checksum,
     require_finite,
     sgd_step,
     sigmoid,
@@ -241,10 +240,9 @@ def test_upsample_conv_matches_upsample_then_direct_convolution():
 
 def test_skipped_input_gradient_leaves_parameter_gradients_bitwise():
     """input_grad=False returns None and the same dW, db, for a Conv2d at
-    both strides, for an UpsampleConv2d, for a Dense, and for a Network whose
-    first layer is a Conv2d or a Dense."""
+    both strides, for a Dense, and for a Network whose first layer is a
+    Conv2d or a Dense."""
     layers = [(Conv2d(2, 3, RNG, stride=stride), (3, 2, 8, 8)) for stride in (1, 2)]
-    layers.append((UpsampleConv2d(2, 3, RNG), (3, 2, 4, 5)))
     layers.append((Dense(5, 3, RNG), (4, 5)))
     for layer, shape in layers:
         dout = RNG.normal(size=layer.forward(RNG.normal(size=shape)).shape)

@@ -85,10 +85,10 @@ def test_lesion_free_render_shares_structure():
 def test_labeled_splits_balance_and_correctness():
     splits = generate_labeled_splits(
         DataSection(n_labeled_train=20, n_test_per_biomarker=10, n_multilabel_test=12), SEED)
-    assert len(splits.train) == 20
-    assert len(splits.multilabel_test) == 12
+    assert len(splits["labeled_train"]) == 20
+    assert len(splits["test_multilabel"]) == 12
     for j, name in enumerate(BIOMARKER_NAMES):
-        ds = splits.binary_tests[name]
+        ds = splits[f"test_{name}"]
         assert len(ds) == 10
         col = ds.multihot()[:, j]
         assert col.sum() == 5  # exactly half positive
@@ -99,9 +99,9 @@ def test_labeled_splits_balance_and_correctness():
 def test_split_ids_are_disjoint():
     splits = generate_labeled_splits(
         DataSection(n_labeled_train=6, n_test_per_biomarker=4, n_multilabel_test=4), SEED)
-    all_ids = list(splits.train.sample_ids) + list(splits.multilabel_test.sample_ids)
-    for ds in splits.binary_tests.values():
-        all_ids += list(ds.sample_ids)
+    assert list(splits) == ["labeled_train", *(f"test_{name}" for name in BIOMARKER_NAMES),
+                            "test_multilabel"]
+    all_ids = [sid for ds in splits.values() for sid in ds.sample_ids]
     assert len(all_ids) == len(set(all_ids))
 
 
