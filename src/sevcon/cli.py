@@ -383,6 +383,11 @@ def stage_evaluate(run_dir: Path, cfg: ExperimentConfig, tag: str, force: bool):
     if ml_head is not None:
         ds = _load_dataset(run_dir, "test_multilabel")
         ml_test = (ds.images, ds.multihot())
+        for name, column in zip(synthdata.BIOMARKER_NAMES, ml_test[1].T):
+            if column.min() == column.max():  # its AUC is undefined
+                raise ConfigError(
+                    f"the multi-label test set holds one class of {name} only; "
+                    f"raise [data] n_multilabel_test and rerun `sevcon gen-data`")
     if not binary_heads and ml_head is None:
         raise MissingArtifactError(
             f"no trained probe heads for tag {tag}; run `sevcon probe` first")

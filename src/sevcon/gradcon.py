@@ -12,7 +12,9 @@ alignment) is one block with the unblocked arithmetic. Scoring runs a corpus
 in blocks of ``MICRO_BATCH`` images too, but reads each image's decoder
 gradients from one decoder-only backward of the block: the conv layers'
 unsummed weight-gradient stacks, and the rank-1 identity for the first
-``Dense``.
+``Dense``. Both deal their blocks to the model's lanes, so the blocks of one
+pass run at once on the usable cores, with results that do not depend on the
+lane count.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .config import GradconSection
 from .models import MICRO_BATCH, Autoencoder
 from .numerics import (
     Array,
+    Network,
     NumericalError,
     SgdState,
     ShapeError,
@@ -246,16 +249,18 @@ def _cosines(dots: Array, norms: Array, m: Array) -> Array:
     return np.where(small, 0.0, dots / np.where(small, 1.0, norms * nm))
 
 
-def _decoder_alignments(model: Autoencoder, dout: Array, ref: ReferenceGradients) -> Array:
+def _decoder_alignments(decoder: Network, weight_layers: list[int], dout: Array,
+                        ref: ReferenceGradients) -> Array:
     """gradient_alignment of each image's decoder weight gradients, from one
-    backward through the last forward's decoder caches. `dout` holds each
-    image's own loss gradient. The conv layers leave their per-image weight
-    gradients unsummed; for the first layer, a Dense with input z and output
-    gradient d, image i's gradient is z_i (x) d_i, so its dot with the mean M
-    is z_i^T M d_i and its norm |z_i||d_i|, and it is never built. Neither
-    the encoder nor that Dense's input gradient is computed."""
-    layers = model.decoder.layers
-    means = dict(zip(model.decoder_weight_layers(), ref.layer_means))
+    backward through the last forward's caches of ``decoder``, whose weight
+    layers are ``weight_layers``. `dout` holds each image's own loss
+    gradient. The conv layers leave their per-image weight gradients
+    unsummed; for the first layer, a Dense with input z and output gradient
+    d, image i's gradient is z_i (x) d_i, so its dot with the mean M is
+    z_i^T M d_i and its norm |z_i||d_i|, and it is never built. Neither the
+    encoder nor that Dense's input gradient is computed."""
+    layers = decoder.layers
+    means = dict(zip(weight_layers, ref.layer_means))
     cosines = []
     for i in range(len(layers) - 1, 0, -1):
         if i in means:
@@ -275,30 +280,34 @@ def score_dataset(model: Autoencoder, ref: ReferenceGradients, images: Array,
     """Score each image: value = l_recon - alpha * l_grad, with l_recon its
     reconstruction loss and l_grad the alignment of its own (batch-1) decoder
     weight gradients with the reference. Runs in blocks of MICRO_BATCH
-    images: one forward and one decoder-only backward per block (see
-    _decoder_alignments). Each score matches one batch-1 forward/backward of
-    the image, the tests' oracle, to <= 1e-12 relative. Pure with respect to
-    model parameters and the reference (only layer caches and gradient
-    buffers are touched)."""
+    images, dealt to the model's lanes (``Autoencoder.deal``): one forward
+    and one decoder-only backward per block (see _decoder_alignments). Each
+    score matches one batch-1 forward/backward of the image, the tests'
+    oracle, to <= 1e-12 relative. Pure with respect to model parameters and
+    the reference (only layer caches and gradient buffers are touched)."""
     if not ref.initialized():
         raise ValueError("reference gradients are uninitialized")
-    sizes = [model.decoder.layers[i].params["w"].size for i in model.decoder_weight_layers()]
+    weight_layers = model.decoder_weight_layers()
+    sizes = [model.decoder.layers[i].params["w"].size for i in weight_layers]
     if [m.size for m in ref.layer_means] != sizes:
         raise ShapeError(f"layer-set mismatch: reference sizes "
                          f"{[m.size for m in ref.layer_means]} vs decoder {sizes}")
     images = as_f64(images)
-    scores = []
-    for start in range(0, images.shape[0], MICRO_BATCH):
-        x = images[start:start + MICRO_BATCH]
-        xhat = model.forward(x)
+    blocks = [None] * -(-images.shape[0] // MICRO_BATCH)
+
+    def block(enc, dec, b):
+        x = images[b * MICRO_BATCH:(b + 1) * MICRO_BATCH]
+        xhat = dec.forward(enc.forward(x))
         if x.shape != xhat.shape:
             raise ShapeError(f"reconstruction_loss: shapes {x.shape} != {xhat.shape}")
         # each image's loss is the mean over its own pixels, unscaled by the block
         l_recon = ((x - xhat) ** 2).reshape(len(x), -1).mean(axis=1)
-        l_grad = _decoder_alignments(model, 2.0 * (xhat - x) / x[0].size, ref)
-        scores += [SeverityScore(value=float(r - alpha * g), l_recon=float(r), l_grad=float(g))
-                   for r, g in zip(l_recon, l_grad)]
-    return scores
+        blocks[b] = zip(l_recon, _decoder_alignments(
+            dec, weight_layers, 2.0 * (xhat - x) / x[0].size, ref))
+
+    model.deal(len(blocks), block)
+    return [SeverityScore(value=float(r - alpha * g), l_recon=float(r), l_grad=float(g))
+            for pairs in blocks for r, g in pairs]
 
 
 def severity_score(model: Autoencoder, ref: ReferenceGradients, x: Array,

@@ -6,11 +6,11 @@ an output width reads it from the last layer (``net.layers[-1].n_out``), and
 a backbone trained jointly with a head is ``Network(backbone.layers +
 head.layers)``, which shares the layer objects. Only the autoencoder keeps a
 class of its own, for the encoder/decoder split that gradcon scores with,
-and for its cache-blocked forward/backward. Each decoder upsampling stage is
-one ``UpsampleConv2d``, a 2x nearest upsample and a 3x3 conv computed on the
-low-res grid, so the decoder is [Dense, Relu, Reshape, (UpsampleConv2d,
-Relu) per stage, Conv2d, Sigmoid] and its weight layers are 0, 3, 5, 7 (and
-9 at side 64).
+and for its cache-blocked forward/backward, whose blocks run on lanes. Each
+decoder upsampling stage is one ``UpsampleConv2d``, a 2x nearest upsample
+and a 3x3 conv computed on the low-res grid, so the decoder is [Dense, Relu,
+Reshape, (UpsampleConv2d, Relu) per stage, Conv2d, Sigmoid] and its weight
+layers are 0, 3, 5, 7 (and 9 at side 64).
 
 All builders are deterministic in (config, seed). Desk-scale defaults:
 32x32 grayscale inputs; the embedding and projection widths come from the
@@ -19,6 +19,10 @@ All builders are deterministic in (config, seed). Desk-scale defaults:
 
 from __future__ import annotations
 
+import copy
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,53 +52,139 @@ SUPPORTED_SIDES = (32, 64)
 MICRO_BATCH = 8
 
 
+def _lane_count() -> int:
+    """Usable cores / BLAS threads, at least 1. The BLAS thread count is
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else the usable cores, as
+    OpenBLAS itself reads it. At the default BLAS threads a 2-core VM gets
+    one lane: a second lane there slowed a 160-image gradcon epoch to 118-124
+    images/s from 123-151 (three runs each), where at one BLAS thread it
+    raised it from 139-160 to 214-226."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    threads = int(blas) if blas and blas.strip().isdigit() else 0
+    return max(1, cores // (threads or cores))
+
+
+# Lanes that run an autoencoder's blocks at once: lane 0 is the calling
+# thread, the others are threads of one pool that starts on first use.
+LANES = _lane_count()
+_pool: ThreadPoolExecutor | None = None
+_pool_workers = 0
+
+
+def _run_lanes(n_lanes: int, lane: Callable[[int], None]):
+    """Run lane(k) for k < n_lanes, lane 0 on the calling thread. Returns or
+    raises only after every lane has stopped; the lowest failed lane's
+    exception is the one raised."""
+    global _pool, _pool_workers
+    if n_lanes <= 1:
+        for k in range(n_lanes):
+            lane(k)
+        return
+    if _pool_workers < n_lanes - 1:
+        if _pool is not None:
+            _pool.shutdown()
+        _pool, _pool_workers = ThreadPoolExecutor(n_lanes - 1, "sevcon-lane"), n_lanes - 1
+    others = [_pool.submit(lane, k) for k in range(1, n_lanes)]
+    try:
+        lane(0)
+    finally:
+        wait(others)
+    for f in others:
+        f.result()
+
+
+def _replica(net: Network) -> Network:
+    """A copy of ``net`` whose layers share each original layer's ``params``
+    dict and keep their own ``_cache`` and ``grads``."""
+    layers = []
+    for layer in net.layers:
+        r = copy.copy(layer)
+        r.grads, r._cache = {}, None
+        layers.append(r)
+    return Network(layers)
+
+
 @dataclass
 class Autoencoder:
-    """Encoder/decoder pair whose passes are cache-blocked.
+    """Encoder/decoder pair whose passes are cache-blocked and run on lanes.
 
     ``forward`` runs the batch in blocks of MICRO_BATCH images and keeps each
     block's layer caches; ``backward`` runs the blocks last to first and
     leaves in each layer's ``grads`` the sum over blocks. The rows of
     ``dout`` carry the whole batch's loss scaling, so that sum is the batch
     gradient. At <= MICRO_BATCH images a pass is one block with the
-    unblocked arithmetic. The input is data: its gradient is not computed."""
+    unblocked arithmetic. The input is data: its gradient is not computed.
+
+    ``deal`` runs block b on lane b % LANES, through that lane's encoder and
+    decoder: the model's own at lane 0, else replicas whose layers share the
+    model's parameters. A block gives the same arrays on any lane, and
+    ``backward`` sums the per-block gradients on the calling thread, last
+    block first, so every result is bitwise independent of the lane count."""
 
     encoder: Network
     decoder: Network
     _blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _replicas: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def deal(self, n_blocks: int, work: Callable[[Network, Network, int], None],
+             reverse: bool = False):
+        """Run work(encoder, decoder, b) for every block b < n_blocks, block
+        b on lane b % LANES with that lane's networks, each lane's blocks in
+        order (last first with ``reverse``). See _run_lanes for failures."""
+        n_lanes = min(LANES, n_blocks)
+        while len(self._replicas) < n_lanes - 1:
+            self._replicas.append((_replica(self.encoder), _replica(self.decoder)))
+        nets = [(self.encoder, self.decoder)] + self._replicas
+
+        def lane(k):
+            blocks = range(k, n_blocks, n_lanes)
+            for b in (reversed(blocks) if reverse else blocks):
+                work(*nets[k], b)
+
+        _run_lanes(n_lanes, lane)
 
     def forward(self, x: Array) -> Array:
-        layers = self.encoder.layers + self.decoder.layers
-        self._blocks, out = [], []
-        # an empty batch is one empty block, as an unblocked pass would see it
-        for start in range(0, max(x.shape[0], 1), MICRO_BATCH):
-            part = x[start:start + MICRO_BATCH]
-            out.append(self.decoder.forward(self.encoder.forward(part)))
-            self._blocks.append((start, len(part), [layer._cache for layer in layers]))
+        # the last pass's block caches go before this pass allocates its own
+        self._blocks = [None] * max(-(-x.shape[0] // MICRO_BATCH), 1)
+        out = [None] * len(self._blocks)
+
+        def block(enc, dec, b):
+            # an empty batch is one empty block, as an unblocked pass would see it
+            part = x[b * MICRO_BATCH:(b + 1) * MICRO_BATCH]
+            out[b] = dec.forward(enc.forward(part))
+            self._blocks[b] = (len(part), [layer._cache for layer in enc.layers + dec.layers])
+
+        self.deal(len(self._blocks), block)
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     def backward(self, dout: Array) -> None:
         if not self._blocks:
             raise RuntimeError("autoencoder: backward called before forward")
-        start, n, _ = self._blocks[-1]
-        if dout.shape[0] != start + n:
+        rows = sum(n for n, _ in self._blocks)
+        if dout.shape[0] != rows:
             raise ShapeError(f"autoencoder: dout has {dout.shape[0]} rows, "
-                             f"forward had {start + n}")
-        layers = self.encoder.layers + self.decoder.layers
-        total = None
-        # last block first: its caches are the ones most likely still cached
-        for start, n, caches in reversed(self._blocks):
-            for layer, cache in zip(layers, caches):
+                             f"forward had {rows}")
+        grads = [None] * len(self._blocks)
+
+        def block(enc, dec, b):
+            layers = enc.layers + dec.layers
+            for layer, cache in zip(layers, self._blocks[b][1]):
                 layer._cache = cache
-            self.encoder.backward(self.decoder.backward(dout[start:start + n]),
-                                  input_grad=False)
-            if total is None:
-                total = [dict(layer.grads) for layer in layers]
-            else:  # each backward assigns new grads arrays, so total's are ours
-                for sums, layer in zip(total, layers):
-                    for name, g in layer.grads.items():
-                        sums[name] += g
-        for sums, layer in zip(total, layers):
+            enc.backward(dec.backward(dout[b * MICRO_BATCH:(b + 1) * MICRO_BATCH]),
+                         input_grad=False)
+            grads[b] = [dict(layer.grads) for layer in layers]
+
+        # each lane runs its last block first: its caches are the likeliest cached
+        self.deal(len(self._blocks), block, reverse=True)
+        # each backward assigns new grads arrays, so the sums may go in place
+        total = grads[-1]
+        for block_grads in reversed(grads[:-1]):
+            for sums, g in zip(total, block_grads):
+                for name in sums:
+                    sums[name] += g[name]
+        for sums, layer in zip(total, self.encoder.layers + self.decoder.layers):
             layer.grads.update(sums)
 
     def param_dict(self) -> dict[str, Array]:

@@ -216,6 +216,19 @@ def test_exit_codes(small_run, tmp_path, capsys):
         assert main(["--run-dir", str(run), "report"]) == EXIT_MISSING, text
         assert "rerun `sevcon evaluate --tag simclr`" in capsys.readouterr().err
     result.write_bytes(intact)
+    # a multi-label test column of one class has no AUC: exit 2 before writing
+    labels = run / "data" / "test_multilabel" / "labels.csv"
+    kept = labels.read_text()
+    header, *rows = kept.splitlines()
+    fields = [row.split(",") for row in rows]  # sample_id, bio_a, ..., bio_e, severity
+    labels.write_text("\n".join([header] + [",".join(f[:3] + ["0"] + f[4:]) for f in fields])
+                      + "\n")  # no bio_c positives
+    capsys.readouterr()
+    assert main(["--run-dir", str(run), "evaluate", "--tag", "simclr"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bio_c" in err and "[data] n_multilabel_test" in err
+    assert result.read_bytes() == intact
+    labels.write_text(kept)
     # a rejected value exits 2 before the stage writes, also with --force
     odin = tmp_path / "odin.ini"
     odin.write_text(SMALL_INI.replace("odin_temperature = 1.0", "odin_temperature = 0"))

@@ -2,13 +2,18 @@
 constraint's parameter-space gradient, cache-blocked passes against unblocked
 oracles, and blocked scoring against a per-image oracle."""
 
+import sys
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, params_checksum, rel_err
-from sevcon import gradcon
+from sevcon import gradcon, models
 from sevcon.config import GradconSection
 from sevcon.gradcon import (
     ReferenceGradients,
@@ -25,7 +30,7 @@ from sevcon.gradcon import (
     update_reference,
 )
 from sevcon.models import MICRO_BATCH, build_autoencoder
-from sevcon.numerics import ShapeError
+from sevcon.numerics import Network, ShapeError
 
 RNG = np.random.default_rng(7)
 
@@ -249,25 +254,45 @@ def test_blocked_fd_term_matches_unblocked_fd():
 
 
 def test_constraint_update_term_restores_decoder_weights(monkeypatch):
+    """A pass that fails in any lane restores the decoder weights bitwise,
+    and its exception arrives only after every lane has stopped: at one lane
+    the -delta u pass fails on its first block, at two lanes in lane 0 (block
+    0) or in lane 1 (block 1) while the other lane is still running."""
     model, batch, dec_keys, dalign = constraint_setup(MICRO_BATCH + 3)  # two blocks a pass
     before = params_checksum(model.param_dict())
-    _constraint_update_term(model, batch, dec_keys, dalign)
+    hv = _constraint_update_term(model, batch, dec_keys, dalign)
     assert params_checksum(model.param_dict()) == before
 
-    calls = []
-    original = model.decoder.backward
+    original = Network.backward
+    for lanes, failing in ((1, 1), (2, 0), (2, 1)):
+        decoder_calls, encoder_ends, lock = [], [], threading.Lock()
 
-    def fail_on_third_call(dout):
-        calls.append(1)
-        if len(calls) == 3:  # the first block of the -delta u pass
-            raise RuntimeError("injected failure")
-        return original(dout)
+        def backward(net, dout, input_grad=True):
+            if not input_grad:  # the encoder, the last of a block's work
+                original(net, dout, input_grad=False)
+                encoder_ends.append(1)
+                return None
+            with lock:
+                decoder_calls.append(1)
+                n = len(decoder_calls)
+            if n > 2:  # the -delta u pass; each block calls its decoder once
+                if len(dout) == (MICRO_BATCH, 3)[failing]:  # the rows of blocks 0 and 1
+                    raise RuntimeError(f"injected failure in block {failing}")
+                time.sleep(0.2)  # still running when the other lane fails
+            return original(net, dout)
 
-    monkeypatch.setattr(model.decoder, "backward", fail_on_third_call)
-    with pytest.raises(RuntimeError, match="injected failure"):
-        _constraint_update_term(model, batch, dec_keys, dalign)
-    assert len(calls) == 3
-    assert params_checksum(model.param_dict()) == before
+        with monkeypatch.context() as m:
+            m.setattr(models, "LANES", lanes)
+            m.setattr(Network, "backward", backward)
+            with pytest.raises(RuntimeError, match=f"block {failing}"):
+                _constraint_update_term(model, batch, dec_keys, dalign)
+        if lanes == 1:  # the -delta u pass stopped at its first block
+            assert (len(decoder_calls), len(encoder_ends)) == (3, 2)
+        else:  # the other lane ended its block before the exception arrived
+            assert (len(decoder_calls), len(encoder_ends)) == (4, 3)
+        assert params_checksum(model.param_dict()) == before
+        again = _constraint_update_term(model, batch, dec_keys, dalign)
+        assert all(np.array_equal(again[k], hv[k]) for k in hv)
 
 
 def test_severity_score_value_and_purity():
@@ -411,3 +436,62 @@ def test_score_dataset_checks():
             [m[:-1] for m in ref.layer_means], 1), images, 0.03)
     with pytest.raises(ShapeError):
         gradcon.score_dataset(model, ref, np.zeros((2, 1, 16, 16)), 0.03)
+
+
+def test_lane_count_leaves_results_bitwise_equal(monkeypatch):
+    """One lane and two give bitwise-equal training, constraint terms and
+    scores, and the blocked oracles hold at both counts. Four lanes, more
+    threads than a 2-core machine has cores, with the interpreter switching
+    threads every microsecond, give the same bits too."""
+    from test_models import test_fused_decoder_matches_unfused_oracle
+
+    images = tiny_images(30)
+    g = GradconSection(epochs=2, batch_size=19, learning_rate=1e-3,
+                       warmup_learning_rate=1e-3)  # 19 images: three blocks, one ragged
+    model, batch, dec_keys, dalign = constraint_setup(MICRO_BATCH * 3 + 5)
+    scored, corpus = tiny_model(), tiny_images(300)
+    ref = noisy_reference(scored, corpus[:16])
+    results = []
+    switch = sys.getswitchinterval()
+    for lanes in (1, 2, 4):
+        monkeypatch.setattr(models, "LANES", lanes)
+        if lanes == 4:
+            sys.setswitchinterval(1e-6)
+        try:
+            m, r, log = train_gradcon(images[:22], g, tiny_model(), 3, heldout=images[22:])
+            hv = _constraint_update_term(model, batch, dec_keys, dalign)
+            scores = [gradcon.score_dataset(scored, ref, corpus[:n], 0.03)
+                      for n in (0, 1, 7, 11, 300)]
+        finally:
+            sys.setswitchinterval(switch)
+        assert g.alpha != 0.0 and np.isfinite(log[-1]["heldout_alignment"])
+        results.append((params_checksum(m.param_dict()), [x.tobytes() for x in r.layer_means],
+                        log, {k: v.tobytes() for k, v in hv.items()}, scores))
+        if lanes < 4:
+            test_blocked_pass_matches_one_pass()
+            test_blocked_fd_term_matches_unblocked_fd()
+            test_score_dataset_matches_per_image_oracle()
+            test_fused_decoder_matches_unfused_oracle()
+    assert results[0] == results[1] == results[2]
+
+
+def test_second_pass_frees_the_first_pass_caches(monkeypatch):
+    """A second 32-image pass drops the first pass's block caches before it
+    allocates its own, so it peaks within 1.15x of the first pass, and two
+    lanes, each running its own block, peak at most 1.15x one lane."""
+    batch = tiny_images(32)
+    second = []
+    for lanes in (1, 2):
+        monkeypatch.setattr(models, "LANES", lanes)
+        model = tiny_model()
+        tracemalloc.start()
+        try:
+            _recon_backward(model, batch)
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _recon_backward(model, batch)
+            second.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert second[-1] <= 1.15 * first, (lanes, first, second[-1])
+    assert second[1] <= 1.15 * second[0], second
