@@ -16,9 +16,10 @@ Run nothing else alongside it. The output holds, per workload and
 end-to-end metric, both sides' medians, quartiles and per-seed values, the
 change's wins and ties, the quality figures that a results-preserving change
 must reproduce per seed, the stage-call counts, and the machine and BLAS
-record. Exits 1 if a run gives no result, gives a result without metrics
-(its set-up failed; it is named, and its pair is left out of the
-comparisons), or a stage call fails.
+record, and a no-regression verdict ("no worse", "unresolved" or "worse";
+see `verdict`) for every metric other than the claim. Exits 1 if a run gives
+no result, gives a result without metrics (its set-up failed; it is named,
+and its pair is left out of the comparisons), or a stage call fails.
 """
 
 from __future__ import annotations
@@ -95,6 +96,23 @@ def claim_result(m: dict) -> dict:
     met = m["change_wins"] >= 0.9 * m["pairs"] and gap > spread
     return {"wins": m["change_wins"], "pairs": m["pairs"], "median_gap": round(gap, 6),
             "parent_quartile_distance": round(spread, 6), "met": met}
+
+
+def verdict(m: dict) -> str:
+    """No-regression verdict of a metric the change does not claim. Where the
+    parent's quartile distance over its median exceeds the bound, the runs
+    cannot show a regression of that size: "unresolved", unless every change
+    run beats every parent run ("no worse"). Otherwise "no worse" when the
+    change's median is within the bound of the parent's, else "worse"."""
+    lower = m["better"] == "lower"
+    parent, change = m["parent"], m["change"]
+    if parent["q3"] - parent["q1"] > m["bound"] * abs(parent["median"]):
+        beats = (max(m["change_values"]) < min(m["parent_values"]) if lower
+                 else min(m["change_values"]) > max(m["parent_values"]))
+        return "no worse" if beats else "unresolved"
+    limit = parent["median"] * (1 + m["bound"] if lower else 1 - m["bound"])
+    within = change["median"] <= limit if lower else change["median"] >= limit
+    return "no worse" if within else "worse"
 
 
 def machine_record(envs: list[dict]) -> dict:
@@ -191,8 +209,13 @@ def main(argv: list[str] | None = None) -> int:
                                    "change_values": values["change"],
                                    "equal_per_seed": values["parent"] == values["change"]}
         out["workloads"][wl] = block
-    if args.claim:
-        wl, metric = args.claim.split(":")
+    claim = tuple(args.claim.split(":")) if args.claim else None
+    for wl, block in out["workloads"].items():
+        for name, m in block["metrics"].items():
+            if (wl, name) != claim:
+                m["verdict"] = verdict(m)
+    if claim:
+        wl, metric = claim
         m = out["workloads"][wl]["metrics"].get(metric)
         out["claim"] = {"workload": wl, "metric": metric,
                         "rule": "change wins >= 9 of 10 pairs and the median gap exceeds "
@@ -204,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"-- {wl}")
         for name, m in block["metrics"].items():
             print(f"   {name:<22} {m['parent']['median']:>11.5g} -> {m['change']['median']:<11.5g}"
-                  f" wins {m['change_wins']}/{m['pairs']}, ties {m['ties']}")
+                  f" wins {m['change_wins']}/{m['pairs']}, ties {m['ties']}"
+                  f"{', ' + m['verdict'] if 'verdict' in m else ', claimed'}")
         for name, q in block["quality"].items():
             print(f"   {name:<22} equal per seed: {q['equal_per_seed']}")
     if out["claim"]:

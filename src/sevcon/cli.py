@@ -305,6 +305,8 @@ def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
     # random runs are a paired comparison: same init, batches, augmentations
     seed = cfg.derive_seed("pretrain-train")
     if mode == "severity":
+        if not 1 <= n_bins <= len(unlabeled):  # make-labels refuses it too
+            raise ConfigError(f"n_bins must be in [1, {len(unlabeled)}], got {n_bins}")
         pseudo = _load_labels(run_dir, scorer, n_bins, unlabeled.sample_ids).labels
         curve = contrastive.pretrain(backbone, head, unlabeled.images, pseudo, c, seed)
     elif mode == "simclr":

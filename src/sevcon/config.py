@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -191,6 +192,7 @@ def load_config(path: Path) -> ExperimentConfig:
     least = {("data", "n_healthy"): 1, ("data", "n_unlabeled"): 2,
              ("data", "n_labeled_train"): 1, ("data", "n_test_per_biomarker"): 2,
              ("data", "n_multilabel_test"): 1, ("data", "severity_max"): 1,
+             ("data", "n_stripes"): 0,
              ("gradcon", "epochs"): 1, ("gradcon", "latent_dim"): 4,
              ("gradcon", "heldout_count"): 0, ("labeling", "extreme_report_k"): 1,
              ("contrastive", "batch_size"): 2, ("contrastive", "embedding_dim"): 1,
@@ -199,6 +201,13 @@ def load_config(path: Path) -> ExperimentConfig:
         value = getattr(getattr(cfg, sec_name), key)
         if value < low:
             raise ConfigError(f"{sec_name}.{key} {value} must be at least {low}")
+    # values gen-data cannot render: a negative noise_std raises there, and a
+    # NaN one writes NaN pixels that every later stage refuses
+    if not 0 <= cfg.data.noise_std < math.inf:
+        raise ConfigError(f"data.noise_std {cfg.data.noise_std} must be finite and "
+                          "non-negative")
+    if not math.isfinite(cfg.data.stripe_contrast):
+        raise ConfigError(f"data.stripe_contrast {cfg.data.stripe_contrast} must be finite")
     c, b = cfg.contrastive, cfg.baselines
     for key, value in [("contrastive.tau", c.tau),
                        ("baselines.odin_temperature", b.odin_temperature)]:

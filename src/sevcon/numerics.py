@@ -273,15 +273,18 @@ class UpsampleConv2d(Layer):
 
 
 class Relu(Layer):
+    """max(x, 0). A NaN input gives a NaN output, and its gradient is 0; a
+    NaN in ``dout`` propagates through the backward pass."""
+
     name = "relu"
 
     def forward(self, x):
         self._cache = x > 0
-        return np.where(self._cache, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, dout):
         self._require_cache()
-        return np.where(self._cache, dout, 0.0)
+        return dout * self._cache
 
 
 class Sigmoid(Layer):

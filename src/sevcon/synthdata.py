@@ -77,22 +77,48 @@ def _sample_seed(seed: int, namespace: str, index: int, stream: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _render_structure(data: DataSection, rng: np.random.Generator) -> Array:
-    side = data.image_side
+# Images rendered per chunk. The stripe sum then runs as a few numpy calls
+# per chunk instead of per image, while a chunk's (64, side, side) float64
+# temporaries (0.5 MB at side 32) stay small next to a split.
+CHUNK = 64
+
+
+def _render_chunk(data: DataSection, seed: int, namespace: str, first: int,
+                  lesion_lists: list[list[Lesion]]) -> Array:
+    """Images ``first, first + 1, ...`` of a split, (m, side, side) unclipped.
+
+    Each image keeps its own ``structure`` stream: its tilt and bow, then
+    (offset, width, gain) per stripe, are drawn by one ``uniform`` call, and
+    its noise after them. The stripes are summed over the chunk in the order
+    of a one-image render, so every pixel is bitwise what that render gives.
+    """
+    side, m, n_stripes = data.image_side, len(lesion_lists), data.n_stripes
+    lows = [-1.0, 0.0] + [-0.5, 1.0, 0.85] * n_stripes
+    highs = [1.0, 1.5] + [0.5, 1.3, 1.0] * n_stripes
+    draws = np.empty((m, len(lows)))
+    noise = np.empty((m, side, side))
+    for j in range(m):
+        rng = np.random.default_rng(_sample_seed(seed, namespace, first + j, "structure"))
+        draws[j] = rng.uniform(lows, highs)
+        noise[j] = rng.normal(0.0, data.noise_std, size=(side, side))
     yy = np.arange(side)[:, None]
     xx = np.arange(side)[None, :]
-    img = 0.05 + 0.10 * (yy / side) * np.ones((side, side))
-    centers = np.linspace(side * 0.15, side * 0.85, data.n_stripes)
-    tilt = rng.uniform(-1.0, 1.0)
-    bow = rng.uniform(0.0, 1.5)
-    for c in centers:
-        offset = rng.uniform(-0.5, 0.5)
-        width = rng.uniform(1.0, 1.3)
-        gain = data.stripe_contrast * rng.uniform(0.85, 1.0)
-        curve = (c + offset + tilt * (2 * xx / side - 1.0)
-                 + bow * np.sin(np.pi * xx / side))
-        img = img + gain * np.exp(-((yy - curve) ** 2) / (2 * width ** 2))
-    img += rng.normal(0.0, data.noise_std, size=(side, side))
+    img = np.empty((m, side, side))
+    img[:] = 0.05 + 0.10 * (yy / side)
+    slope = 2 * xx / side - 1.0
+    sag = np.sin(np.pi * xx / side)
+    tilt, bow = draws[:, 0, None, None], draws[:, 1, None, None]
+    centers = np.linspace(side * 0.15, side * 0.85, n_stripes)
+    for s, c in enumerate(centers):
+        offset, width, gain = draws[:, 2 + 3 * s:5 + 3 * s].T[:, :, None, None]
+        # a Python float per image: numpy's array square can differ from pow
+        spread = np.array([2 * w ** 2 for w in width.ravel().tolist()])[:, None, None]
+        curve = c + offset + tilt * slope + bow * sag
+        img = img + data.stripe_contrast * gain * np.exp(-((yy - curve) ** 2) / spread)
+    img += noise
+    for j, lesions in enumerate(lesion_lists):
+        for lesion in lesions:
+            img[j] = _apply_lesion(img[j], lesion)
     return img
 
 
@@ -148,15 +174,24 @@ def _apply_lesion(img: Array, lesion: Lesion) -> Array:
     return out
 
 
+def _render(data: DataSection, seed: int, namespace: str, first: int,
+            lesion_lists: list[list[Lesion]]) -> Array:
+    """Images ``first, first + 1, ...`` of a split, (n, 1, side, side) in
+    [0, 1], rendered a chunk at a time."""
+    side = data.image_side
+    images = np.empty((len(lesion_lists), 1, side, side))
+    for start in range(0, len(lesion_lists), CHUNK):
+        chunk = _render_chunk(data, seed, namespace, first + start,
+                              lesion_lists[start:start + CHUNK])
+        np.clip(chunk, 0.0, 1.0, out=images[start:start + CHUNK, 0])
+    return images
+
+
 def render_sample(data: DataSection, seed: int, namespace: str, index: int,
                   lesions: list[Lesion]) -> Array:
     """Pure render of one sample; structure noise is independent of lesions,
     so the lesion-free render of the same (namespace, index) is comparable."""
-    structure_rng = np.random.default_rng(_sample_seed(seed, namespace, index, "structure"))
-    img = _render_structure(data, structure_rng)
-    for lesion in lesions:
-        img = _apply_lesion(img, lesion)
-    return np.clip(img, 0.0, 1.0)[None]
+    return _render(data, seed, namespace, index, [lesions])[0]
 
 
 def _lesions_to_gt(lesions: list[Lesion]) -> GroundTruth:
@@ -169,8 +204,7 @@ def _lesions_to_gt(lesions: list[Lesion]) -> GroundTruth:
 def _make_samples(data: DataSection, seed: int, namespace: str,
                   lesion_lists: list[list[Lesion]]) -> Dataset:
     ids = [f"{namespace}_{i:05d}" for i in range(len(lesion_lists))]
-    images = np.stack([render_sample(data, seed, namespace, i, lesions)
-                       for i, lesions in enumerate(lesion_lists)])
+    images = _render(data, seed, namespace, 0, lesion_lists)
     gts = [_lesions_to_gt(lesions) for lesions in lesion_lists]
     return Dataset(ids, images, gts)
 

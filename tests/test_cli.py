@@ -181,7 +181,11 @@ def test_exit_codes(small_run, tmp_path, capsys):
                                 ("baselines", "odin_temperature", "0"),
                                 ("baselines", "odin_epsilon", "-1"),
                                 ("labeling", "extreme_report_k", "-1"),
-                                ("labeling", "extreme_report_k", "0")]:
+                                ("labeling", "extreme_report_k", "0"),
+                                ("data", "n_stripes", "-1"),
+                                ("data", "noise_std", "-0.1"),
+                                ("data", "noise_std", "nan"),
+                                ("data", "stripe_contrast", "inf")]:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         capsys.readouterr()
         assert main(["--run-dir", str(fresh), "--config", str(bad),
@@ -239,6 +243,12 @@ def test_exit_codes(small_run, tmp_path, capsys):
     labels = run / "labels" / "severity_bins8.csv"
     labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
     assert main(["--run-dir", str(run), "pretrain", "--bins", "8"]) == EXIT_MISSING
+    # a bin count make-labels refuses is a config error, not a missing label file
+    for bins in ("0", "41"):
+        capsys.readouterr()
+        assert main(["--run-dir", str(run), "pretrain", "--mode", "severity",
+                     "--bins", bins]) == EXIT_CONFIG, bins
+        assert f"n_bins must be in [1, 40], got {bins}" in capsys.readouterr().err
     table = run / "report" / "table1.csv"
     earlier = table.read_bytes() + b"# from an earlier report\n"
     table.write_bytes(earlier)

@@ -126,6 +126,20 @@ def test_relu_gradients():
     check_layer_input_grad(layer, x)
 
 
+def test_relu_matches_where_oracle():
+    """Equal to the np.where form up to the sign of zero; a NaN propagates."""
+    layer = Relu()
+    x = RNG.normal(size=(3, 4, 5, 5))
+    x[0, 0, 0, :3] = [0.0, -0.0, 1e-300]
+    dout = RNG.normal(size=x.shape)
+    assert np.array_equal(layer.forward(x), np.where(x > 0, x, 0.0))
+    assert np.array_equal(layer.backward(dout), np.where(x > 0, dout, 0.0))
+    x[1, 2, 3, 4] = np.nan
+    y = layer.forward(x)
+    assert np.isnan(y[1, 2, 3, 4]) and np.isnan(y).sum() == 1
+    assert layer.backward(dout)[1, 2, 3, 4] == 0.0
+
+
 def test_sigmoid_gradients():
     check_layer_input_grad(Sigmoid(), RNG.normal(size=(4, 6)))
 

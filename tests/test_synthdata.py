@@ -1,5 +1,8 @@
-"""Synthetic corpus: determinism, ground-truth invariants, lesion effects,
-split balance, and the on-disk format."""
+"""Synthetic corpus: determinism, the chunked renderer against a per-image
+oracle, pinned corpus bytes, ground-truth invariants, lesion effects, split
+balance, and the on-disk format."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,12 +17,101 @@ from sevcon.synthdata import (
     generate_labeled_splits,
     generate_unlabeled,
     load_dataset,
+    _apply_lesion,
+    _mixed_plan,
+    _render,
+    _sample_seed,
     render_sample,
     save_dataset,
 )
 
 DATA = DataSection()
 SEED = 42
+
+
+def _render_structure(data, rng):
+    """One image's stripes and noise, drawn and summed one stripe at a time:
+    the oracle of the chunked renderer."""
+    side = data.image_side
+    yy = np.arange(side)[:, None]
+    xx = np.arange(side)[None, :]
+    img = 0.05 + 0.10 * (yy / side) * np.ones((side, side))
+    centers = np.linspace(side * 0.15, side * 0.85, data.n_stripes)
+    tilt = rng.uniform(-1.0, 1.0)
+    bow = rng.uniform(0.0, 1.5)
+    for c in centers:
+        offset = rng.uniform(-0.5, 0.5)
+        width = rng.uniform(1.0, 1.3)
+        gain = data.stripe_contrast * rng.uniform(0.85, 1.0)
+        curve = (c + offset + tilt * (2 * xx / side - 1.0)
+                 + bow * np.sin(np.pi * xx / side))
+        img = img + gain * np.exp(-((yy - curve) ** 2) / (2 * width ** 2))
+    img += rng.normal(0.0, data.noise_std, size=(side, side))
+    return img
+
+
+def _render_one(data, seed, namespace, index, lesions):
+    img = _render_structure(data, np.random.default_rng(
+        _sample_seed(seed, namespace, index, "structure")))
+    for lesion in lesions:
+        img = _apply_lesion(img, lesion)
+    return np.clip(img, 0.0, 1.0)[None]
+
+
+@pytest.mark.parametrize("side", [32, 64])
+def test_chunked_render_matches_per_image_oracle(side):
+    """Bitwise, at split sizes around the 64-image chunk, with and without
+    lesions, and for a render that starts mid-split."""
+    data = DataSection(image_side=side, n_stripes=4, noise_std=0.05)
+    for n in (1, 63, 64, 65, 130):
+        for lesion_lists in ([[] for _ in range(n)],
+                             [_mixed_plan(data, SEED, "mix", i) for i in range(n)]):
+            want = np.stack([_render_one(data, SEED, "mix", i, lesions)
+                             for i, lesions in enumerate(lesion_lists)])
+            got = _render(data, SEED, "mix", 0, lesion_lists)
+            assert got.shape == (n, 1, side, side)
+            assert np.array_equal(got, want), (n, side)
+    assert any(lesion_lists)
+    assert np.array_equal(render_sample(data, SEED, "mix", 70, lesion_lists[70]), want[70])
+    assert np.array_equal(_render(data, SEED, "mix", 60, lesion_lists[60:70]), want[60:70])
+
+
+# sha256 (first 16 hex digits) of each split's float64 image bytes, per image
+# side, and of its int64 (multi-hot, severity) rows, for SMALL at seed 7. The
+# oracle above shares _draw_lesion and _apply_lesion with the renderer; these
+# catch a change of any byte of the corpus.
+SMALL = dict(n_healthy=5, n_unlabeled=70, n_labeled_train=3, n_test_per_biomarker=4,
+             n_multilabel_test=3)
+IMAGE_SHA = {
+    32: {"healthy": "bcb4ae37cd30f9bb", "unlabeled": "524a63c8f88fc144",
+         "labeled_train": "1d23beb8e1d2117e", "test_bio_a": "038ba931b9f654d1",
+         "test_bio_b": "8cc274247686d19c", "test_bio_c": "7217dd026c7b4dff",
+         "test_bio_d": "271d6cbde0753351", "test_bio_e": "427bb1f4286c466c",
+         "test_multilabel": "623473506f5c86ed"},
+    64: {"healthy": "7777a3df429e0a8e", "unlabeled": "d47c1dbd6a0ded69",
+         "labeled_train": "3334aa49b7678da6", "test_bio_a": "5e567462b1ae71de",
+         "test_bio_b": "b9e0edca07bab355", "test_bio_c": "0de2baeb15982230",
+         "test_bio_d": "6755c19e3b1ede7a", "test_bio_e": "fd3c69442386f262",
+         "test_multilabel": "ecc45b2a8cec94d2"},
+}
+LABEL_SHA = {"healthy": "2dfba633817046c7", "unlabeled": "9c5aadcd4e0304ef",
+             "labeled_train": "3fe121413336d0da", "test_bio_a": "881fd0c56ebef7f6",
+             "test_bio_b": "fa10a513d881bc25", "test_bio_c": "cfe856f205674971",
+             "test_bio_d": "7355de1b50999bee", "test_bio_e": "9ce8346bb65a4044",
+             "test_multilabel": "4972ad854ff440a2"}
+
+
+@pytest.mark.parametrize("side", [32, 64])
+def test_corpus_bytes_are_pinned(side):
+    data = DataSection(image_side=side, **SMALL)
+    splits = {"healthy": generate_healthy(data, 7), "unlabeled": generate_unlabeled(data, 7),
+              **generate_labeled_splits(data, 7)}
+    assert list(splits) == list(LABEL_SHA)
+    for name, ds in splits.items():
+        images = np.ascontiguousarray(ds.images, dtype="<f8").tobytes()
+        labels = np.column_stack([ds.multihot(), ds.severities()]).astype("<i8").tobytes()
+        assert hashlib.sha256(images).hexdigest()[:16] == IMAGE_SHA[side][name], name
+        assert hashlib.sha256(labels).hexdigest()[:16] == LABEL_SHA[name], name
 
 
 def test_generation_is_deterministic():
