@@ -155,6 +155,11 @@ def main(argv: list[str] | None = None) -> int:
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
     seconds = args.seconds or spec["run_seconds"]
+    claim = tuple(args.claim.split(":")) if args.claim else None
+    if claim and (len(claim) != 2 or claim[0] not in workloads
+                  or claim[1] not in {m["name"] for m in spec["end_to_end"]}):
+        parser.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC with WORKLOAD among "
+                     f"{workloads} and METRIC an end-to-end metric of BENCHMARK.json")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {wl: {side: [] for side in SIDES} for wl in workloads}
     for k, seed in enumerate(args.seeds):
@@ -209,7 +214,6 @@ def main(argv: list[str] | None = None) -> int:
                                    "change_values": values["change"],
                                    "equal_per_seed": values["parent"] == values["change"]}
         out["workloads"][wl] = block
-    claim = tuple(args.claim.split(":")) if args.claim else None
     for wl, block in out["workloads"].items():
         for name, m in block["metrics"].items():
             if (wl, name) != claim:

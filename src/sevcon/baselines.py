@@ -15,7 +15,7 @@ from .config import BaselinesSection, ContrastiveSection, ProbeSection
 from .contrastive import pretrain
 from .evalprobe import EMBED_BLOCK, _embed_all, evaluate, train_head, train_probe
 from .labeling import assign_severity_labels
-from .models import build_backbone, build_classifier_head, build_projection_head
+from .models import TrunkNetwork, build_backbone, build_classifier_head, build_projection_head
 from .numerics import (
     Array,
     Network,
@@ -65,7 +65,7 @@ def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSe
     n, n_labels = y.shape
     backbone = build_backbone(images.shape[-1], c.embedding_dim, seed)
     head = build_classifier_head(c.embedding_dim, n_labels, seed + 1)
-    net = Network(backbone.layers + head.layers)
+    net = TrunkNetwork(backbone.layers + head.layers)
 
     opt = SgdState(b.classifier_learning_rate, b.classifier_momentum)
     params = net.param_dict()
@@ -109,23 +109,25 @@ def _msp_scores(clf: SupervisedClassifier, images: Array) -> Array:
 
 
 def _odin_scores(clf: SupervisedClassifier, images: Array, T: float, eps: float) -> Array:
-    """ODIN per image, in blocks of EMBED_BLOCK rows. The backward of the
-    summed (not mean) cross-entropy gives each row its own input gradient.
-    The perturbed embeddings are scored as _msp_scores scores embeddings,
-    so at T=1 and eps=0 the two are bitwise equal."""
+    """ODIN per image, in blocks of EMBED_BLOCK rows, each through the
+    backbone as a TrunkNetwork. The backward of the summed (not mean)
+    cross-entropy gives each row its own input gradient. The perturbed
+    embeddings are scored as _msp_scores scores embeddings, so at T=1 and
+    eps=0 the two are bitwise equal."""
     if T <= 0:
         raise ValueError("T must be positive")
     if eps < 0:
         raise ValueError("eps must be non-negative")
     images = as_f64(images)
+    backbone = TrunkNetwork(clf.backbone.layers)
     feats = []
     for start in range(0, images.shape[0], EMBED_BLOCK):
         x = images[start:start + EMBED_BLOCK]
-        logits = clf.combo_head.forward(clf.backbone.forward(x))
+        logits = clf.combo_head.forward(backbone.forward(x))
         _, dlogits = softmax_ce_with_logits(logits / T, np.argmax(logits, axis=1))
-        dx = clf.backbone.backward(clf.combo_head.backward(dlogits * len(x) / T))
+        dx = backbone.backward(clf.combo_head.backward(dlogits * len(x) / T))
         require_finite(dx, "odin input gradient")
-        feats.append(clf.backbone.forward(x - eps * np.sign(dx)))
+        feats.append(backbone.forward(x - eps * np.sign(dx)))
     return -msp_from_logits(clf.combo_head.forward(np.concatenate(feats)) / T)
 
 

@@ -215,6 +215,21 @@ def load_config(path: Path) -> ExperimentConfig:
             raise ConfigError(f"{key} {value} must be positive")
     if not b.odin_epsilon >= 0:
         raise ConfigError(f"baselines.odin_epsilon {b.odin_epsilon} must be non-negative")
+    # augment draws each jitter as uniform(-j, j) and divides by the std
+    for key in ("brightness_jitter", "contrast_jitter"):
+        if not 0 <= getattr(c, key) < math.inf:
+            raise ConfigError(f"contrastive.{key} {getattr(c, key)} must be finite and "
+                              "non-negative")
+    if not 0 <= c.flip_prob <= 1:
+        raise ConfigError(f"contrastive.flip_prob {c.flip_prob} must be in [0, 1]")
+    if not math.isfinite(c.normalize_mean):
+        raise ConfigError(f"contrastive.normalize_mean {c.normalize_mean} must be finite")
+    if not 0 < c.normalize_std < math.inf:
+        raise ConfigError(f"contrastive.normalize_std {c.normalize_std} must be finite "
+                          "and positive")
+    if not 0 <= cfg.gradcon.alpha < math.inf:
+        raise ConfigError(f"gradcon.alpha {cfg.gradcon.alpha} must be finite and "
+                          "non-negative")
     if not 0 < c.crop_scale_min <= c.crop_scale_max <= 1:
         raise ConfigError(f"contrastive.crop_scale_min {c.crop_scale_min} and crop_scale_max "
                           f"{c.crop_scale_max} must satisfy 0 < min <= max <= 1")

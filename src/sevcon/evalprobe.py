@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ProbeSection
+from .models import TrunkNetwork
 from .numerics import (
     Array,
     Network,
@@ -84,7 +85,8 @@ EMBED_BLOCK = 256
 
 def _embed_all(backbone: Network, images: Array,
                normalize: tuple[float, float] | None = None) -> Array:
-    """Embed a corpus with the frozen backbone, EMBED_BLOCK images at a time.
+    """Embed a corpus with the frozen backbone, EMBED_BLOCK images at a time,
+    each through the backbone as a TrunkNetwork.
 
     `normalize=(mean, std)` applies the same pixel normalization the backbone
     saw during pretraining; feeding un-normalized images to a backbone trained
@@ -93,9 +95,10 @@ def _embed_all(backbone: Network, images: Array,
     if normalize is not None:
         mean, std = normalize
         images = (images - mean) / std
+    net = TrunkNetwork(backbone.layers)
     outs = []
     for start in range(0, images.shape[0], EMBED_BLOCK):
-        outs.append(backbone.forward(images[start:start + EMBED_BLOCK]))
+        outs.append(net.forward(images[start:start + EMBED_BLOCK]))
     return np.concatenate(outs, axis=0)
 
 

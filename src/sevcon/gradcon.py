@@ -12,9 +12,9 @@ alignment) is one block with the unblocked arithmetic. Scoring runs a corpus
 in blocks of ``MICRO_BATCH`` images too, but reads each image's decoder
 gradients from one decoder-only backward of the block: the conv layers'
 unsummed weight-gradient stacks, and the rank-1 identity for the first
-``Dense``. Both deal their blocks to the model's lanes, so the blocks of one
-pass run at once on the usable cores, with results that do not depend on the
-lane count.
+``Dense``. Both deal their blocks to lanes (``models.deal``), so the blocks
+of one pass run at once on the usable cores, with results that do not
+depend on the lane count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import GradconSection
-from .models import MICRO_BATCH, Autoencoder
+from .models import MICRO_BATCH, Autoencoder, deal
 from .numerics import (
     Array,
     Network,
@@ -280,8 +280,8 @@ def score_dataset(model: Autoencoder, ref: ReferenceGradients, images: Array,
     """Score each image: value = l_recon - alpha * l_grad, with l_recon its
     reconstruction loss and l_grad the alignment of its own (batch-1) decoder
     weight gradients with the reference. Runs in blocks of MICRO_BATCH
-    images, dealt to the model's lanes (``Autoencoder.deal``): one forward
-    and one decoder-only backward per block (see _decoder_alignments). Each
+    images, dealt to lanes (``models.deal``): one forward and one
+    decoder-only backward per block (see _decoder_alignments). Each
     score matches one batch-1 forward/backward of the image, the tests'
     oracle, to <= 1e-12 relative. Pure with respect to model parameters and
     the reference (only layer caches and gradient buffers are touched)."""
@@ -295,7 +295,8 @@ def score_dataset(model: Autoencoder, ref: ReferenceGradients, images: Array,
     images = as_f64(images)
     blocks = [None] * -(-images.shape[0] // MICRO_BATCH)
 
-    def block(enc, dec, b):
+    def block(nets, b):
+        enc, dec = nets
         x = images[b * MICRO_BATCH:(b + 1) * MICRO_BATCH]
         xhat = dec.forward(enc.forward(x))
         if x.shape != xhat.shape:
@@ -305,7 +306,7 @@ def score_dataset(model: Autoencoder, ref: ReferenceGradients, images: Array,
         blocks[b] = zip(l_recon, _decoder_alignments(
             dec, weight_layers, 2.0 * (xhat - x) / x[0].size, ref))
 
-    model.deal(len(blocks), block)
+    deal([model.encoder, model.decoder], len(blocks), block)
     return [SeverityScore(value=float(r - alpha * g), l_recon=float(r), l_grad=float(g))
             for pairs in blocks for r, g in pairs]
 

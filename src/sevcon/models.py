@@ -3,10 +3,12 @@ projection head, and linear classifier heads.
 
 The backbone and both heads are plain ``Network`` stacks; a caller that needs
 an output width reads it from the last layer (``net.layers[-1].n_out``), and
-a backbone trained jointly with a head is ``Network(backbone.layers +
-head.layers)``, which shares the layer objects. Only the autoencoder keeps a
-class of its own, for the encoder/decoder split that gradcon scores with,
-and for its cache-blocked forward/backward, whose blocks run on lanes. Each
+a backbone trained jointly with a head is ``TrunkNetwork(backbone.layers +
+head.layers)``, which shares the layer objects and runs the backbone's conv
+trunk in blocks on lanes. Only the autoencoder keeps a class of its own, for
+the encoder/decoder split that gradcon scores with; its passes run in blocks
+on lanes too. Both go through ``BlockedPass``, which keeps each block's
+layer caches, and ``deal``, which runs the blocks on the lanes. Each
 decoder upsampling stage is one ``UpsampleConv2d``, a 2x nearest upsample
 and a 3x3 conv computed on the low-res grid, so the decoder is [Dense, Relu,
 Reshape, (UpsampleConv2d, Relu) per stage, Conv2d, Sigmoid] and its weight
@@ -32,6 +34,7 @@ from .numerics import (
     Conv2d,
     Dense,
     Flatten,
+    Layer,
     Network,
     Relu,
     Reshape,
@@ -43,13 +46,19 @@ from .numerics import (
 
 SUPPORTED_SIDES = (32, 64)
 
-# Images per block of an autoencoder pass. The largest column arrays take
-# about 0.6 MB per image (the final 8->1 conv's, and the 16->8 upsample-conv's
-# four phases), so a block of 8 holds 4.7 MB where a batch of 32 would hold
-# 18.9 MB. A 160-image gradcon epoch with one BLAS thread on a 2-core VM,
-# median of 16 round-robin runs: 152 images/s at 4, 160 at 8, 160 at 16; at 2
-# it was 137-148 in shorter rounds.
+# Images per block of an autoencoder pass. A 32-image gradcon batch is then
+# four blocks, enough for two lanes, and each block's backward rebuilds
+# column arrays of at most 8 x 0.6 MB. A 160-image gradcon epoch at one BLAS
+# thread on a 2-core VM (two lanes), median of six alternating rounds: 194
+# images/s at 4, 225 at 8, 221 at 16, 138 at 32 (one block, one busy lane).
 MICRO_BATCH = 8
+
+# Images per block of a TrunkNetwork's conv trunk. Ten SupCon steps of 128
+# views at one BLAS thread on the same VM, median of six alternating rounds:
+# 357 ms at 16, 342 at 32, 416 at 64, 533 at 128 (one block). From 64 up,
+# the column arrays each backward rebuilds made glibc trim and re-fault its
+# heap: about 3000 minor faults per step, against 310 at 32.
+TRUNK_BLOCK = 32
 
 
 def _lane_count() -> int:
@@ -66,7 +75,7 @@ def _lane_count() -> int:
     return max(1, cores // (threads or cores))
 
 
-# Lanes that run an autoencoder's blocks at once: lane 0 is the calling
+# Lanes that run a blocked pass at once: lane 0 is the calling
 # thread, the others are threads of one pool that starts on first use.
 LANES = _lane_count()
 _pool: ThreadPoolExecutor | None = None
@@ -106,78 +115,141 @@ def _replica(net: Network) -> Network:
     return Network(layers)
 
 
+def deal(nets: list[Network], n_blocks: int, work: Callable[[list[Network], int], None],
+         reverse: bool = False):
+    """Run work(lane_nets, b) for every block b < n_blocks, block b on lane
+    b % LANES with that lane's networks: ``nets`` at lane 0, else replicas
+    whose layers share their parameters. Each lane runs its blocks in order
+    (last first with ``reverse``). A block gives the same arrays on any lane.
+    See _run_lanes for failures."""
+    n_lanes = min(LANES, n_blocks)
+    lanes = [nets] + [[_replica(net) for net in nets] for _ in range(n_lanes - 1)]
+
+    def lane(k):
+        blocks = range(k, n_blocks, n_lanes)
+        for b in (reversed(blocks) if reverse else blocks):
+            work(lanes[k], b)
+
+    _run_lanes(n_lanes, lane)
+
+
+class BlockedPass:
+    """Passes through the networks ``nets``, applied in turn, in blocks of
+    ``size`` images dealt to lanes (``deal``). ``forward`` keeps each
+    block's layer caches; ``backward`` puts them back into the layers of the
+    lane that runs the block. An empty batch is one empty block, as an
+    unblocked pass would see it."""
+
+    def __init__(self, nets: list[Network], size: int):
+        self.nets, self.size = nets, size
+        self.blocks: list = []  # per block: (rows, layer caches)
+
+    def _layers(self, nets: list[Network]):
+        return [layer for net in nets for layer in net.layers]
+
+    def forward(self, x: Array) -> Array:
+        # the last pass's block caches go before this pass allocates its own
+        self.blocks = [None] * max(-(-x.shape[0] // self.size), 1)
+        out = [None] * len(self.blocks)
+
+        def block(nets, b):
+            part = x[b * self.size:(b + 1) * self.size]
+            rows = len(part)
+            for net in nets:
+                part = net.forward(part)
+            out[b] = part
+            self.blocks[b] = (rows, [layer._cache for layer in self._layers(nets)])
+
+        deal(self.nets, len(self.blocks), block)
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    def backward(self, dout: Array, work: Callable[[list[Network], Array], object]) -> list:
+        """work(lane_nets, rows of dout) for each block, on its forward's
+        caches; returns the results in block order. Each lane runs its last
+        block first: its caches are the likeliest cached."""
+        if not self.blocks:
+            raise RuntimeError("blocked pass: backward called before forward")
+        rows = sum(n for n, _ in self.blocks)
+        if dout.shape[0] != rows:
+            raise ShapeError(f"blocked pass: dout has {dout.shape[0]} rows, "
+                             f"forward had {rows}")
+        results = [None] * len(self.blocks)
+
+        def block(nets, b):
+            for layer, cache in zip(self._layers(nets), self.blocks[b][1]):
+                layer._cache = cache
+            results[b] = work(nets, dout[b * self.size:(b + 1) * self.size])
+
+        deal(self.nets, len(self.blocks), block, reverse=True)
+        return results
+
+
+class TrunkNetwork(Network):
+    """A Network whose conv trunk, the layers before its first Dense, runs in
+    blocks of TRUNK_BLOCK images (BlockedPass), while the Dense tail runs on
+    the whole batch on the calling thread.
+
+    Each trunk conv leaves per-image weight and bias gradients
+    (``per_sample=True``); they are concatenated in block order and summed
+    over the batch axis, the sum a one-call backward takes. A block's
+    arrays do not depend on the block, so outputs, input gradients and
+    parameter gradients equal ``Network``'s bit for bit."""
+
+    def __init__(self, layers: list[Layer]):
+        super().__init__(layers)
+        n = next(i for i, layer in enumerate(self.layers) if isinstance(layer, Dense))
+        self.trunk = BlockedPass([Network(self.layers[:n])], TRUNK_BLOCK)
+        self.tail = Network(self.layers[n:])
+
+    def forward(self, x: Array) -> Array:
+        return self.tail.forward(self.trunk.forward(x))
+
+    def backward(self, dout: Array, input_grad: bool = True) -> Array | None:
+        def block(nets, d):
+            layers = nets[0].layers
+            for i in range(len(layers) - 1, -1, -1):
+                if layers[i].params:
+                    d = layers[i].backward(d, input_grad=input_grad or i > 0, per_sample=True)
+                else:
+                    d = layers[i].backward(d)
+            return d, [dict(layer.grads) for layer in layers]
+
+        results = self.trunk.backward(self.tail.backward(dout), block)
+        for i, layer in enumerate(self.trunk.nets[0].layers):
+            layer.grads = {name: np.concatenate([r[1][i][name] for r in results]).sum(axis=0)
+                           for name in layer.params}
+        return np.concatenate([r[0] for r in results]) if input_grad else None
+
+
 @dataclass
 class Autoencoder:
     """Encoder/decoder pair whose passes are cache-blocked and run on lanes.
 
-    ``forward`` runs the batch in blocks of MICRO_BATCH images and keeps each
-    block's layer caches; ``backward`` runs the blocks last to first and
-    leaves in each layer's ``grads`` the sum over blocks. The rows of
-    ``dout`` carry the whole batch's loss scaling, so that sum is the batch
-    gradient. At <= MICRO_BATCH images a pass is one block with the
+    ``forward`` runs the batch in blocks of MICRO_BATCH images (BlockedPass);
+    ``backward`` leaves in each layer's ``grads`` the sum over blocks. The
+    rows of ``dout`` carry the whole batch's loss scaling, so that sum is the
+    batch gradient. At <= MICRO_BATCH images a pass is one block with the
     unblocked arithmetic. The input is data: its gradient is not computed.
-
-    ``deal`` runs block b on lane b % LANES, through that lane's encoder and
-    decoder: the model's own at lane 0, else replicas whose layers share the
-    model's parameters. A block gives the same arrays on any lane, and
     ``backward`` sums the per-block gradients on the calling thread, last
     block first, so every result is bitwise independent of the lane count."""
 
     encoder: Network
     decoder: Network
-    _blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _replicas: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _pass: BlockedPass = field(init=False, repr=False, compare=False)
 
-    def deal(self, n_blocks: int, work: Callable[[Network, Network, int], None],
-             reverse: bool = False):
-        """Run work(encoder, decoder, b) for every block b < n_blocks, block
-        b on lane b % LANES with that lane's networks, each lane's blocks in
-        order (last first with ``reverse``). See _run_lanes for failures."""
-        n_lanes = min(LANES, n_blocks)
-        while len(self._replicas) < n_lanes - 1:
-            self._replicas.append((_replica(self.encoder), _replica(self.decoder)))
-        nets = [(self.encoder, self.decoder)] + self._replicas
-
-        def lane(k):
-            blocks = range(k, n_blocks, n_lanes)
-            for b in (reversed(blocks) if reverse else blocks):
-                work(*nets[k], b)
-
-        _run_lanes(n_lanes, lane)
+    def __post_init__(self):
+        self._pass = BlockedPass([self.encoder, self.decoder], MICRO_BATCH)
 
     def forward(self, x: Array) -> Array:
-        # the last pass's block caches go before this pass allocates its own
-        self._blocks = [None] * max(-(-x.shape[0] // MICRO_BATCH), 1)
-        out = [None] * len(self._blocks)
-
-        def block(enc, dec, b):
-            # an empty batch is one empty block, as an unblocked pass would see it
-            part = x[b * MICRO_BATCH:(b + 1) * MICRO_BATCH]
-            out[b] = dec.forward(enc.forward(part))
-            self._blocks[b] = (len(part), [layer._cache for layer in enc.layers + dec.layers])
-
-        self.deal(len(self._blocks), block)
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return self._pass.forward(x)
 
     def backward(self, dout: Array) -> None:
-        if not self._blocks:
-            raise RuntimeError("autoencoder: backward called before forward")
-        rows = sum(n for n, _ in self._blocks)
-        if dout.shape[0] != rows:
-            raise ShapeError(f"autoencoder: dout has {dout.shape[0]} rows, "
-                             f"forward had {rows}")
-        grads = [None] * len(self._blocks)
+        def block(nets, d):
+            enc, dec = nets
+            enc.backward(dec.backward(d), input_grad=False)
+            return [dict(layer.grads) for layer in enc.layers + dec.layers]
 
-        def block(enc, dec, b):
-            layers = enc.layers + dec.layers
-            for layer, cache in zip(layers, self._blocks[b][1]):
-                layer._cache = cache
-            enc.backward(dec.backward(dout[b * MICRO_BATCH:(b + 1) * MICRO_BATCH]),
-                         input_grad=False)
-            grads[b] = [dict(layer.grads) for layer in layers]
-
-        # each lane runs its last block first: its caches are the likeliest cached
-        self.deal(len(self._blocks), block, reverse=True)
+        grads = self._pass.backward(dout, block)
         # each backward assigns new grads arrays, so the sums may go in place
         total = grads[-1]
         for block_grads in reversed(grads[:-1]):

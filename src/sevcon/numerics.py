@@ -102,14 +102,11 @@ def _pad(x: Array, p: int) -> Array:
 def _columns(xp: Array, k: int, s: int, Ho: int, Wo: int) -> Array:
     """Channel-first im2col of a padded (B, C, Hp, Wp) batch:
     cols[b, (c, di, dj), (i, j)] = xp[b, c, s*i + di, s*j + dj], returned as
-    (B, C*k*k, Ho*Wo). Each of the k*k slice copies writes runs of Wo
-    contiguous values."""
+    (B, C*k*k, Ho*Wo): one copy of a read-only window view of xp."""
     B, C = xp.shape[:2]
-    cols = np.empty((B, C, k, k, Ho, Wo))
-    for di in range(k):
-        for dj in range(k):
-            cols[:, :, di, dj] = xp[:, :, di:di + s * Ho:s, dj:dj + s * Wo:s]
-    return cols.reshape(B, C * k * k, Ho * Wo)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    win = win[:, :, :s * Ho:s, :s * Wo:s].transpose(0, 1, 4, 5, 2, 3)
+    return win.reshape(B, C * k * k, Ho * Wo)
 
 
 class Conv2d(Layer):
@@ -119,15 +116,17 @@ class Conv2d(Layer):
     im2col + GEMM in NCHW. The columns of image b are laid out channel-first
     as a (C_in*k*k, Ho*Wo) matrix, so one batched matmul with the
     (C_out, C_in*k*k) weight matrix gives the (B, C_out, Ho*Wo) output with
-    no transpose. Backward: dW = sum_b dout_b cols_b^T. At stride 1 the input
+    no transpose. Forward keeps the padded input, and backward rebuilds the
+    columns from it for dW = sum_b dout_b cols_b^T. At stride 1 the input
     gradient is a forward correlation of dout, zero-padded by k-1-p, with the
     flipped, channel-swapped weights w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
     through the same column builder; at stride 2 it is a k*k strided
     scatter-add of W^T dout. ``backward(dout, input_grad=False)`` skips the
     input gradient and returns None, for a first layer whose input is data.
-    ``backward(dout, per_sample=True)`` leaves in grads["w"] the
-    (B, C_out, C_in, k, k) stack of per-image weight gradients, the dW GEMM's
-    terms before the sum over b, for per-image scoring."""
+    ``backward(dout, per_sample=True)`` leaves per-image gradients: in
+    grads["w"] the (B, C_out, C_in, k, k) stack of the dW GEMM's terms before
+    the sum over b, and in grads["b"] the (B, C_out) sums of each image's
+    dout. Their sums over b are the summed pass's gradients, bit for bit."""
 
     kernel, pad = 3, 1
 
@@ -148,25 +147,27 @@ class Conv2d(Layer):
         B, _, H, W = x.shape
         Ho = (H + 2 * p - k) // s + 1
         Wo = (W + 2 * p - k) // s + 1
-        cols = _columns(_pad(x, p), k, s, Ho, Wo)
-        out = np.matmul(self.params["w"].reshape(self.c_out, -1), cols)
+        xp = _pad(x, p)
+        out = np.matmul(self.params["w"].reshape(self.c_out, -1), _columns(xp, k, s, Ho, Wo))
         out += self.params["b"][:, None]
-        # kept 2-D, (B*C_in*k*k, Ho*Wo), by a free reshape: perfbench sizes its
-        # conv GFLOP counter from this array's two dimensions
-        self._cache = (cols.reshape(-1, Ho * Wo), x.shape, Ho, Wo)
+        # The padded input is kept and backward rebuilds the columns from it,
+        # at (C_in*k*k)/s^2 times less memory. The first entry has the column
+        # matrix's 2-D shape, (B*C_in*k*k, Ho*Wo), over one zero-stride
+        # element: perfbench sizes its conv GFLOP counter from it.
+        self._cache = (np.broadcast_to(0.0, (B * self.c_in * k * k, Ho * Wo)), xp, Ho, Wo)
         return out.reshape(B, self.c_out, Ho, Wo)
 
     def backward(self, dout, input_grad=True, per_sample=False):
         self._require_cache()
-        cols, (B, _, H, W), Ho, Wo = self._cache
+        _, xp, Ho, Wo = self._cache
         k, s, p = self.kernel, self.stride, self.pad
+        B, H, W = xp.shape[0], xp.shape[2] - 2 * p, xp.shape[3] - 2 * p
         w = self.params["w"]
-        cols = cols.reshape(B, -1, Ho * Wo)
         dmat = dout.reshape(B, self.c_out, Ho * Wo)
-        dw = np.matmul(dmat, cols.transpose(0, 2, 1))
+        dw = np.matmul(dmat, _columns(xp, k, s, Ho, Wo).transpose(0, 2, 1))
         self.grads["w"] = (dw.reshape((B,) + w.shape) if per_sample
                            else dw.sum(axis=0).reshape(w.shape))
-        self.grads["b"] = dmat.sum(axis=(0, 2))
+        self.grads["b"] = dmat.sum(axis=2) if per_sample else dmat.sum(axis=(0, 2))
         if not input_grad:
             return None
         if s == 1:
@@ -187,7 +188,17 @@ class Conv2d(Layer):
 # kernel into the four phases' flattened 2x2 kernels.
 _FOLD = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
 _PHASE_FOLD = np.einsum("atd,bse->deabts", _FOLD, _FOLD).reshape(9, 16)
-_PHASE_TAPS = [(a, b, t, s) for a in (0, 1) for b in (0, 1) for t in (0, 1) for s in (0, 1)]
+
+
+def _phase_columns(xp: Array) -> Array:
+    """The four phases' 2x2 columns of a pad-1 (B, C, H+2, W+2) batch,
+    cols[n, (a, b), (c, t, s), (i, j)] = xp[n, c, a+t+i, b+s+j], returned as
+    (B, 4, 4*C, H*W): one copy of a read-only strided view of xp."""
+    B, C, Hp, Wp = xp.shape
+    n, c, h, w = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, (B, 2, 2, C, 2, 2, Hp - 2, Wp - 2), (n, h, w, c, h, w, h, w), writeable=False)
+    return view.reshape(B, 4, 4 * C, (Hp - 2) * (Wp - 2))
 
 
 class UpsampleConv2d(Layer):
@@ -212,9 +223,11 @@ class UpsampleConv2d(Layer):
     with the phase kernels channel-swapped: one GEMM, no scatter-add.
 
     The parameters are those of the replaced Conv2d, w (C_out, C_in, 3, 3)
-    and b, drawn by the same call; ``backward(dout, per_sample=True)`` is as
-    in Conv2d, each image's phase gradient folded back on its own. It never
-    runs first in a network, so it always returns its input gradient. Named
+    and b, drawn by the same call. Forward keeps the pad-1 input, from which
+    backward rebuilds the columns. ``backward(dout, per_sample=True)`` is as
+    in Conv2d, each image's phase gradient folded back on its own, but its
+    sums over b match the summed pass's only to rounding. It never runs
+    first in a network, so it always returns its input gradient. Named
     "conv2d", as a stride-1 Conv2d is."""
 
     name = "conv2d"
@@ -236,38 +249,37 @@ class UpsampleConv2d(Layer):
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
             self._fail_shape(x.shape, f"(B, {self.c_in}, H, W)")
-        B, C, H, W = x.shape
+        B, _, H, W = x.shape
         xp = _pad(x, 1)
-        cols = np.empty((B, 2, 2, C, 2, 2, H, W))
-        for a, b, t, s in _PHASE_TAPS:
-            cols[:, a, b, :, t, s] = xp[:, :, a + t:a + t + H, b + s:b + s + W]
-        cols = cols.reshape(B, 4, 4 * C, H * W)
         k = self._phase_kernels()
-        out = np.matmul(k, cols).reshape(B, 2, 2, self.c_out, H, W)
+        out = np.matmul(k, _phase_columns(xp)).reshape(B, 2, 2, self.c_out, H, W)
         # interleave the phases: out[n, a, b, c, i, j] lands on pixel (2i+a, 2j+b)
         out = out.transpose(0, 3, 4, 1, 5, 2).reshape(B, self.c_out, 2 * H, 2 * W)
         out += self.params["b"][:, None, None]
-        self._cache = (cols, k, x.shape)
+        self._cache = (xp, k)
         return out
 
     def backward(self, dout, per_sample=False):
         self._require_cache()
-        cols, k, (B, C, H, W) = self._cache
+        xp, k = self._cache
+        B, C, H, W = xp.shape[0], self.c_in, xp.shape[2] - 2, xp.shape[3] - 2
         # the four phase grids of dout, (B, 4, C_out, H*W)
         dmat = dout.reshape(B, self.c_out, H, 2, W, 2).transpose(0, 3, 5, 1, 2, 4).reshape(
             B, 4, self.c_out, H * W)
-        dk = np.matmul(dmat, cols.transpose(0, 1, 3, 2))
+        dk = np.matmul(dmat, _phase_columns(xp).transpose(0, 1, 3, 2))
         dk = dk if per_sample else dk.sum(axis=0)[None]
         dk = dk.reshape(-1, 2, 2, self.c_out, C, 2, 2).transpose(0, 3, 4, 1, 2, 5, 6)
         dw = (dk.reshape(-1, 16) @ _PHASE_FOLD.T).reshape((-1,) + self.params["w"].shape)
         self.grads["w"] = dw if per_sample else dw[0]
-        self.grads["b"] = dmat.sum(axis=(0, 1, 3))
+        self.grads["b"] = dmat.sum(axis=(1, 3)) if per_sample else dmat.sum(axis=(0, 1, 3))
         dpad = np.zeros((B, 2, 2, self.c_out, H + 2, W + 2))
         dpad[..., 1:H + 1, 1:W + 1] = dmat.reshape(B, 2, 2, self.c_out, H, W)
-        dcols = np.empty((B, 2, 2, self.c_out, 2, 2, H, W))
-        for a, b, t, s in _PHASE_TAPS:
-            r, c = 2 - a - t, 2 - b - s
-            dcols[:, a, b, :, t, s] = dpad[:, a, b, :, r:r + H, c:c + W]
+        # dcols[n, a, b, c, t, s, i, j] = dpad[n, a, b, c, 2-a-t+i, 2-b-s+j]: a
+        # view from row and column 2 whose phase and tap steps go back a row
+        n, sa, sb, sc, sh, sw = dpad.strides
+        dcols = np.lib.stride_tricks.as_strided(
+            dpad[..., 2:, 2:], (B, 2, 2, self.c_out, 2, 2, H, W),
+            (n, sa - sh, sb - sw, sc, -sh, -sw, sh, sw), writeable=False)
         kt = k.reshape(2, 2, self.c_out, C, 2, 2).transpose(3, 0, 1, 2, 4, 5).reshape(C, -1)
         return np.matmul(kt, dcols.reshape(B, -1, H * W)).reshape(B, C, H, W)
 

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -87,3 +89,22 @@ def test_every_unclaimed_metric_gets_a_verdict(tmp_path, monkeypatch, capsys):
         "gradcon_images_per_s": "no worse", "severity_auroc": None}
     printed = capsys.readouterr().out
     assert "wins 0/4, ties 0, worse" in printed and "claimed" in printed
+
+
+@pytest.mark.parametrize("claim", ["ablation:wall_s", "score-pipeline", "score-pipeline:wall",
+                                   "score-pipeline:wall_s:x"])
+def test_bad_claim_exits_2_before_any_run(tmp_path, monkeypatch, capsys, claim):
+    """A claim on a workload not selected, without a metric, or on a metric
+    BENCHMARK.json does not define stops the script before the first run."""
+    bench = load_script()
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    runs = []
+    monkeypatch.setattr(bench, "run_one", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--parent", str(tmp_path), "--change", str(change), "--seeds", "11-14",
+                    "--workloads", "score-pipeline", "--pr", "99", "--claim", claim])
+    assert exit_info.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+    assert runs == [] and not (change / "BENCH_pr99.json").exists()

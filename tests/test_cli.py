@@ -185,7 +185,22 @@ def test_exit_codes(small_run, tmp_path, capsys):
                                 ("data", "n_stripes", "-1"),
                                 ("data", "noise_std", "-0.1"),
                                 ("data", "noise_std", "nan"),
-                                ("data", "stripe_contrast", "inf")]:
+                                ("data", "stripe_contrast", "inf"),
+                                ("contrastive", "brightness_jitter", "inf"),
+                                ("contrastive", "brightness_jitter", "nan"),
+                                ("contrastive", "brightness_jitter", "-0.1"),
+                                ("contrastive", "contrast_jitter", "inf"),
+                                ("contrastive", "contrast_jitter", "nan"),
+                                ("contrastive", "flip_prob", "nan"),
+                                ("contrastive", "flip_prob", "1.5"),
+                                ("contrastive", "normalize_std", "0"),
+                                ("contrastive", "normalize_std", "nan"),
+                                ("contrastive", "normalize_std", "inf"),
+                                ("contrastive", "normalize_mean", "inf"),
+                                ("contrastive", "normalize_mean", "nan"),
+                                ("gradcon", "alpha", "nan"),
+                                ("gradcon", "alpha", "-0.1"),
+                                ("gradcon", "alpha", "inf")]:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         capsys.readouterr()
         assert main(["--run-dir", str(fresh), "--config", str(bad),

@@ -475,23 +475,36 @@ def test_lane_count_leaves_results_bitwise_equal(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+# tracemalloc readings of a 32-image pass of build_autoencoder(side, 4) when
+# each conv layer kept its im2col columns, taken as below: (side, lanes) ->
+# (MB held after forward, MB at the pass's peak)
+KEPT_COLUMN_MB = {(32, 1): (55.8, 60.9), (32, 2): (55.8, 64.5),
+                  (64, 1): (183.1, 200.6), (64, 2): (183.1, 215.8)}
+
+
 def test_second_pass_frees_the_first_pass_caches(monkeypatch):
-    """A second 32-image pass drops the first pass's block caches before it
-    allocates its own, so it peaks within 1.15x of the first pass, and two
-    lanes, each running its own block, peak at most 1.15x one lane."""
-    batch = tiny_images(32)
-    second = []
-    for lanes in (1, 2):
+    """A 32-image pass holds at most a quarter of what the kept-column
+    layers held after forward, and peaks at most half as high, at sides 32
+    and 64, at one lane and two. A second pass drops the first pass's block
+    caches before it allocates its own, so it peaks within 1.15x of the
+    first pass."""
+    for side, lanes in KEPT_COLUMN_MB:
+        batch = np.clip(RNG.random(size=(32, 1, side, side)), 0.05, 0.95)
         monkeypatch.setattr(models, "LANES", lanes)
-        model = tiny_model()
+        model = build_autoencoder(side, 4, seed=1)
         tracemalloc.start()
         try:
-            _recon_backward(model, batch)
+            xhat = model.forward(batch)
+            held = tracemalloc.get_traced_memory()[0]
+            model.backward(reconstruction_loss_grad(batch, xhat))
+            del xhat
             first = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             _recon_backward(model, batch)
-            second.append(tracemalloc.get_traced_memory()[1])
+            second = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert second[-1] <= 1.15 * first, (lanes, first, second[-1])
-    assert second[1] <= 1.15 * second[0], second
+        kept_held, kept_peak = KEPT_COLUMN_MB[side, lanes]
+        assert held <= 0.25 * kept_held * 1e6, (side, lanes, held)
+        assert first <= 0.5 * kept_peak * 1e6, (side, lanes, first)
+        assert second <= 1.15 * first, (side, lanes, first, second)

@@ -1,12 +1,19 @@
 """Builder determinism, architecture invariants, and the row-normalization
 backward pass."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from conftest import central_diff, rel_err
+from sevcon import models
 from sevcon.models import (
     MICRO_BATCH,
+    TrunkNetwork,
+    _lane_count,
     build_autoencoder,
     build_backbone,
     build_classifier_head,
@@ -212,3 +219,90 @@ def test_fused_decoder_matches_unfused_oracle():
             assert grads.keys() == ref_grads.keys()
             for key, g in grads.items():
                 assert rel_err(g, ref_grads[key]) <= 1e-12, (side, n, key)
+
+
+@pytest.mark.parametrize("env, cores, lanes", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2, 2),
+    ({}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": ""}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2),
+])
+def test_lane_count_rule(monkeypatch, env, cores, lanes):
+    """Usable cores over BLAS threads, at least 1; no thread is started."""
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert _lane_count() == lanes
+
+
+def test_trunk_network_matches_one_call_bitwise(monkeypatch):
+    """A TrunkNetwork's output, input gradient and every parameter gradient
+    equal one Network call's bit for bit, for a backbone with a projection
+    head (pretraining, the classifier) and alone (ODIN's input gradient), at
+    1, 2 and 4 lanes (4 with the interpreter switching threads every
+    microsecond) and ragged and whole blocks."""
+    rng = np.random.default_rng(5)
+    backbone = build_backbone(32, 16, seed=2)
+    nets = [backbone.layers + build_projection_head(16, 8, seed=3).layers, backbone.layers]
+    for layer in nets[0]:
+        for p in layer.params.values():
+            p += 0.05 * rng.normal(size=p.shape)  # nonzero biases as well
+    switch = sys.getswitchinterval()
+    for lanes in (1, 2, 4):
+        monkeypatch.setattr(models, "LANES", lanes)
+        if lanes == 4:
+            sys.setswitchinterval(1e-6)
+        try:
+            for layers in nets:
+                one, blocked = Network(layers), TrunkNetwork(layers)
+                for n in (1, 31, 32, 33, 128, 300):
+                    x = rng.normal(size=(n, 1, 32, 32))
+                    out = one.forward(x)
+                    dout = rng.normal(size=out.shape)
+                    dx = one.backward(dout)
+                    grads = {k: g.copy() for k, g in one.grad_dict().items()}
+                    assert np.array_equal(blocked.forward(x), out), (lanes, n)
+                    assert np.array_equal(blocked.backward(dout), dx), (lanes, n)
+                    assert blocked.grad_dict().keys() == grads.keys()
+                    for key, g in blocked.grad_dict().items():
+                        assert np.array_equal(g, grads[key]), (lanes, n, key)
+                    assert blocked.backward(dout, input_grad=False) is None
+                    for key, g in blocked.grad_dict().items():
+                        assert np.array_equal(g, grads[key]), (lanes, n, key)
+        finally:
+            sys.setswitchinterval(switch)
+
+
+def test_failing_trunk_block_stops_every_lane_first(monkeypatch):
+    """A block that raises on lane 1 reaches the caller only after lane 0
+    has ended both of its blocks; the next pass gives the same bits."""
+    monkeypatch.setattr(models, "LANES", 2)
+    net = TrunkNetwork(build_backbone(32, 16, seed=2).layers)
+    x = RNG.normal(size=(4 * models.TRUNK_BLOCK, 1, 32, 32))
+    dout = RNG.normal(size=(len(x), 16))
+    net.forward(x)
+    want = net.backward(dout)
+    original, ended = Flatten.backward, []
+
+    def backward(layer, d):  # the first layer of each block's backward
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("injected failure on lane 1")
+        time.sleep(0.2)  # still running when lane 1 fails
+        ended.append(len(d))
+        return original(layer, d)
+
+    with monkeypatch.context() as m:
+        m.setattr(Flatten, "backward", backward)
+        net.forward(x)
+        with pytest.raises(RuntimeError, match="lane 1"):
+            net.backward(dout)
+    assert ended == [models.TRUNK_BLOCK] * 2
+    net.forward(x)
+    assert np.array_equal(net.backward(dout), want)

@@ -30,6 +30,7 @@ from sevcon.numerics import (
     softmax,
     softmax_ce_with_logits,
 )
+from sevcon.numerics import _PHASE_FOLD, _columns, _pad, _phase_columns
 
 RNG = np.random.default_rng(0)
 
@@ -281,24 +282,29 @@ def test_skipped_input_gradient_leaves_parameter_gradients_bitwise():
 
 
 def test_per_sample_weight_gradients_match_batch_one_passes():
-    """per_sample=True leaves one weight gradient per image, each within
-    1e-12 of that image's own batch-1 backward, with the same input gradient
-    and bias gradient as the summed pass."""
+    """per_sample=True leaves one weight and one bias gradient per image,
+    each within 1e-12 of that image's own batch-1 backward, with the same
+    input gradient as the summed pass. A Conv2d's stacks summed over the
+    batch axis are the summed pass's gradients bit for bit."""
     for layer, shape in [(Conv2d(2, 3, RNG), (5, 2, 6, 7)),
+                         (Conv2d(2, 3, RNG, stride=2), (5, 2, 7, 6)),
                          (UpsampleConv2d(2, 3, RNG), (5, 2, 4, 5))]:
         x = RNG.normal(size=shape)
         dout = RNG.normal(size=layer.forward(x).shape)
         dx = layer.backward(dout)
         summed = dict(layer.grads)
         assert np.array_equal(layer.backward(dout, per_sample=True), dx)
-        stack = layer.grads["w"]
-        assert stack.shape == (shape[0],) + layer.params["w"].shape
-        assert np.array_equal(layer.grads["b"], summed["b"])
-        assert rel_err(stack.sum(axis=0), summed["w"]) <= 1e-12
+        stacks = dict(layer.grads)
+        for name, p in layer.params.items():
+            assert stacks[name].shape == (shape[0],) + p.shape
+            assert rel_err(stacks[name].sum(axis=0), summed[name]) <= 1e-12
+            if isinstance(layer, Conv2d):
+                assert np.array_equal(stacks[name].sum(axis=0), summed[name]), name
         for b in range(shape[0]):
             layer.forward(x[b:b + 1])
             layer.backward(dout[b:b + 1])
-            assert rel_err(stack[b], layer.grads["w"]) <= 1e-12, (layer.name, b)
+            for name in layer.params:
+                assert rel_err(stacks[name][b], layer.grads[name]) <= 1e-12, (layer.name, b)
 
 
 def test_upsample_backward_matches_block_sums():
@@ -312,6 +318,108 @@ def test_upsample_backward_matches_block_sums():
         for j in range(4):
             ref[:, :, i, j] = dout[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2].sum(axis=(2, 3))
     assert rel_err(layer.backward(dout), ref) <= 1e-12
+
+
+def tap_columns(xp, k, s, Ho, Wo):
+    """The column builder's oracle, one slice copy per kernel tap:
+    cols[b, (c, di, dj), (i, j)] = xp[b, c, s*i + di, s*j + dj]."""
+    B, C = xp.shape[:2]
+    cols = np.empty((B, C, k, k, Ho, Wo))
+    for di in range(k):
+        for dj in range(k):
+            cols[:, :, di, dj] = xp[:, :, di:di + s * Ho:s, dj:dj + s * Wo:s]
+    return cols.reshape(B, C * k * k, Ho * Wo)
+
+
+PHASE_TAPS = [(a, b, t, s) for a in (0, 1) for b in (0, 1) for t in (0, 1) for s in (0, 1)]
+
+
+def tap_phase_columns(xp):
+    """The phase column builder's oracle, one slice copy per phase tap."""
+    B, C, H, W = xp.shape[0], xp.shape[1], xp.shape[2] - 2, xp.shape[3] - 2
+    cols = np.empty((B, 2, 2, C, 2, 2, H, W))
+    for a, b, t, s in PHASE_TAPS:
+        cols[:, a, b, :, t, s] = xp[:, :, a + t:a + t + H, b + s:b + s + W]
+    return cols.reshape(B, 4, 4 * C, H * W)
+
+
+def test_column_builders_match_per_tap_copies():
+    """Bitwise, at strides 1 and 2, sides 32 and 64 and batch sizes 1 to 128."""
+    for side in (32, 64):
+        for n in (1, 7, 8, 33, 128):
+            xp = _pad(RNG.normal(size=(n, 2 if n < 128 else 1, side, side)), 1)
+            for s in (1, 2):
+                ho = (side + 2 - 3) // s + 1
+                assert np.array_equal(_columns(xp, 3, s, ho, ho),
+                                      tap_columns(xp, 3, s, ho, ho)), (side, n, s)
+            assert np.array_equal(_phase_columns(xp), tap_phase_columns(xp)), (side, n)
+
+
+def kept_column_conv(layer, x, dout, per_sample):
+    """Oracle: Conv2d's forward output, dW and (at stride 1) dX computed from
+    per-tap columns built once, at forward, as the layer kept them."""
+    k, s, p = layer.kernel, layer.stride, layer.pad
+    w = layer.params["w"]
+    B, _, H, W = x.shape
+    ho, wo = (H + 2 * p - k) // s + 1, (W + 2 * p - k) // s + 1
+    cols = tap_columns(_pad(x, p), k, s, ho, wo)
+    out = np.matmul(w.reshape(layer.c_out, -1), cols)
+    out += layer.params["b"][:, None]
+    dmat = dout.reshape(B, layer.c_out, ho * wo)
+    dw = np.matmul(dmat, cols.transpose(0, 2, 1))
+    dw = dw.reshape((B,) + w.shape) if per_sample else dw.sum(axis=0).reshape(w.shape)
+    dx = None
+    if s == 1:
+        wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(layer.c_in, -1)
+        dx = np.matmul(wflip, tap_columns(_pad(dout, k - 1 - p), k, 1, H, W))
+        dx = dx.reshape(x.shape)
+    return out.reshape(B, layer.c_out, ho, wo), dw, dx
+
+
+def kept_column_upsample_conv(layer, x, dout, per_sample):
+    """Oracle: UpsampleConv2d's forward output, dW and dX from per-tap phase
+    columns built once, at forward, and per-tap input-gradient columns."""
+    B, C, H, W = x.shape
+    co = layer.c_out
+    cols = tap_phase_columns(_pad(x, 1))
+    k = layer._phase_kernels()
+    out = np.matmul(k, cols).reshape(B, 2, 2, co, H, W)
+    out = out.transpose(0, 3, 4, 1, 5, 2).reshape(B, co, 2 * H, 2 * W)
+    out += layer.params["b"][:, None, None]
+    dmat = dout.reshape(B, co, H, 2, W, 2).transpose(0, 3, 5, 1, 2, 4).reshape(B, 4, co, H * W)
+    dk = np.matmul(dmat, cols.transpose(0, 1, 3, 2))
+    dk = dk if per_sample else dk.sum(axis=0)[None]
+    dk = dk.reshape(-1, 2, 2, co, C, 2, 2).transpose(0, 3, 4, 1, 2, 5, 6)
+    dw = (dk.reshape(-1, 16) @ _PHASE_FOLD.T).reshape((-1,) + layer.params["w"].shape)
+    dpad = np.zeros((B, 2, 2, co, H + 2, W + 2))
+    dpad[..., 1:H + 1, 1:W + 1] = dmat.reshape(B, 2, 2, co, H, W)
+    dcols = np.empty((B, 2, 2, co, 2, 2, H, W))
+    for a, b, t, s in PHASE_TAPS:
+        r, c = 2 - a - t, 2 - b - s
+        dcols[:, a, b, :, t, s] = dpad[:, a, b, :, r:r + H, c:c + W]
+    kt = k.reshape(2, 2, co, C, 2, 2).transpose(3, 0, 1, 2, 4, 5).reshape(C, -1)
+    dx = np.matmul(kt, dcols.reshape(B, -1, H * W)).reshape(x.shape)
+    return out, (dw if per_sample else dw[0]), dx
+
+
+def test_backward_rebuilt_columns_match_kept_column_oracle():
+    """Forward, dW (summed and per-image) and dX are bitwise the kept-column
+    arithmetic's: backward rebuilds the columns from the padded input."""
+    cases = [(Conv2d(1, 8, RNG), (3, 1, 9, 8), kept_column_conv),
+             (Conv2d(8, 16, RNG, stride=2), (3, 8, 8, 7), kept_column_conv),
+             (UpsampleConv2d(4, 3, RNG), (3, 4, 5, 4), kept_column_upsample_conv)]
+    for layer, shape, oracle in cases:
+        layer.params["b"] = RNG.normal(size=layer.c_out)
+        x = RNG.normal(size=shape)
+        for per_sample in (False, True):
+            out = layer.forward(x)
+            dout = RNG.normal(size=out.shape)
+            dx = layer.backward(dout, per_sample=per_sample)
+            ref_out, ref_dw, ref_dx = oracle(layer, x, dout, per_sample)
+            assert np.array_equal(out, ref_out), (layer.name, shape)
+            assert np.array_equal(layer.grads["w"], ref_dw), (layer.name, shape, per_sample)
+            if ref_dx is not None:
+                assert np.array_equal(dx, ref_dx), (layer.name, shape)
 
 
 # ---------------------------------------------------------------------------
