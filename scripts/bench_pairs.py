@@ -15,11 +15,12 @@ taken over the runs of each side. Uses the standard library only:
 Run nothing else alongside it. The output holds, per workload and
 end-to-end metric, both sides' medians, quartiles and per-seed values, the
 change's wins and ties, the quality figures that a results-preserving change
-must reproduce per seed, the stage-call counts, and the machine and BLAS
-record, and a no-regression verdict ("no worse", "unresolved" or "worse";
-see `verdict`) for every metric other than the claim. Exits 1 if a run gives
-no result, gives a result without metrics (its set-up failed; it is named,
-and its pair is left out of the comparisons), or a stage call fails.
+must reproduce per seed, the stage-call counts, each failed stage with its
+side, seed and error, the machine and BLAS record, and a no-regression
+verdict ("no worse", "unresolved" or "worse"; see `verdict`) for every
+metric other than the claim. Exits 1 if a run gives no result, gives a
+result without metrics (its set-up failed; it is named, and its pair is left
+out of the comparisons), or a stage call fails.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run: its result line plus its record's env and
-    quality figures."""
+    """One untraced perfbench run: its result line plus its record's env,
+    quality figures and failed stages (each stage and its error)."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -66,6 +67,9 @@ def run_one(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     summary = record.get("summary", {})
     result["env"] = record["env"]
     result["quality"] = {q: summary[q]["median"] for q in QUALITY if q in summary}
+    result["failed_stages"] = [{"stage": st["stage"], "error": st["error"]}
+                               for seq in record["setups"] + record["iterations"]
+                               for st in seq["stages"] if st["error"]]
     return result
 
 
@@ -200,6 +204,9 @@ def main(argv: list[str] | None = None) -> int:
                  "stage_calls": {s: {"attempted": sum(r["attempted"] for r in runs[wl][s]),
                                      "failed": sum(r["failed"] for r in runs[wl][s])}
                                  for s in SIDES},
+                 "failed_stages": [{"side": s, "seed": seed, **st}
+                                   for k, seed in enumerate(args.seeds) for s in SIDES
+                                   for st in runs[wl][s][k]["failed_stages"]],
                  "metrics": {}, "quality": {}}
         failed += sum(block["stage_calls"][s]["failed"] for s in SIDES)
         for m in spec["end_to_end"]:
@@ -235,6 +242,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"{', ' + m['verdict'] if 'verdict' in m else ', claimed'}")
         for name, q in block["quality"].items():
             print(f"   {name:<22} equal per seed: {q['equal_per_seed']}")
+        for st in block["failed_stages"]:
+            print(f"   FAILED {st['side']} seed {st['seed']}: {st['stage']}: {st['error']}")
     if out["claim"]:
         print(f"claim {args.claim}: {out['claim']['result']}")
     print(f"wrote {path}")

@@ -15,7 +15,13 @@ from .config import BaselinesSection, ContrastiveSection, ProbeSection
 from .contrastive import pretrain
 from .evalprobe import EMBED_BLOCK, _embed_all, evaluate, train_head, train_probe
 from .labeling import assign_severity_labels
-from .models import TrunkNetwork, build_backbone, build_classifier_head, build_projection_head
+from .models import (
+    TRUNK_BLOCK,
+    BlockedNetwork,
+    build_backbone,
+    build_classifier_head,
+    build_projection_head,
+)
 from .numerics import (
     Array,
     Network,
@@ -65,7 +71,7 @@ def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSe
     n, n_labels = y.shape
     backbone = build_backbone(images.shape[-1], c.embedding_dim, seed)
     head = build_classifier_head(c.embedding_dim, n_labels, seed + 1)
-    net = TrunkNetwork(backbone.layers + head.layers)
+    net = BlockedNetwork(backbone.layers + head.layers, TRUNK_BLOCK)
 
     opt = SgdState(b.classifier_learning_rate, b.classifier_momentum)
     params = net.param_dict()
@@ -110,16 +116,16 @@ def _msp_scores(clf: SupervisedClassifier, images: Array) -> Array:
 
 def _odin_scores(clf: SupervisedClassifier, images: Array, T: float, eps: float) -> Array:
     """ODIN per image, in blocks of EMBED_BLOCK rows, each through the
-    backbone as a TrunkNetwork. The backward of the summed (not mean)
-    cross-entropy gives each row its own input gradient. The perturbed
-    embeddings are scored as _msp_scores scores embeddings, so at T=1 and
-    eps=0 the two are bitwise equal."""
+    backbone as a BlockedNetwork of TRUNK_BLOCK images. The backward of the
+    summed (not mean) cross-entropy gives each row its own input gradient.
+    The perturbed embeddings are scored as _msp_scores scores embeddings, so
+    at T=1 and eps=0 the two are bitwise equal."""
     if T <= 0:
         raise ValueError("T must be positive")
     if eps < 0:
         raise ValueError("eps must be non-negative")
     images = as_f64(images)
-    backbone = TrunkNetwork(clf.backbone.layers)
+    backbone = BlockedNetwork(clf.backbone.layers, TRUNK_BLOCK)
     feats = []
     for start in range(0, images.shape[0], EMBED_BLOCK):
         x = images[start:start + EMBED_BLOCK]

@@ -238,8 +238,9 @@ def load_config(path: Path) -> ExperimentConfig:
         for key, value in vars(getattr(cfg, sec_name)).items():
             if key.endswith("batch_size") and value < 1:
                 raise ConfigError(f"{sec_name}.{key} {value} must be at least 1")
-            if key.endswith("learning_rate") and not value >= 0:
-                raise ConfigError(f"{sec_name}.{key} {value} must be non-negative")
+            if key.endswith("learning_rate") and not 0 <= value < math.inf:
+                raise ConfigError(f"{sec_name}.{key} {value} must be finite and "
+                                  "non-negative")
             if key.endswith("momentum") and not 0 <= value < 1:
                 raise ConfigError(f"{sec_name}.{key} {value} must be in [0, 1)")
     if cfg.data.image_side not in SUPPORTED_SIDES:

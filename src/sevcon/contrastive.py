@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, ContrastiveSection
-from .models import TrunkNetwork, normalize_rows_backward
+from .models import TRUNK_BLOCK, BlockedNetwork, normalize_rows_backward
 from .numerics import Array, Network, NumericalError, SgdState, as_f64, sgd_step
 
 
@@ -163,7 +163,7 @@ def pretrain(backbone: Network, head: Network, images: Array,
     labels = np.asarray(pseudo_labels)
     rng = np.random.default_rng(seed)
     opt = SgdState(c.learning_rate, c.momentum)
-    net = TrunkNetwork(backbone.layers + head.layers)
+    net = BlockedNetwork(backbone.layers + head.layers, TRUNK_BLOCK)
     params = net.param_dict()
     curve: list[float] = []
     for _ in range(c.epochs):

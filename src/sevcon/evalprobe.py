@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ProbeSection
-from .models import TrunkNetwork
+from .models import TRUNK_BLOCK, BlockedNetwork
 from .numerics import (
     Array,
     Network,
@@ -86,7 +86,7 @@ EMBED_BLOCK = 256
 def _embed_all(backbone: Network, images: Array,
                normalize: tuple[float, float] | None = None) -> Array:
     """Embed a corpus with the frozen backbone, EMBED_BLOCK images at a time,
-    each through the backbone as a TrunkNetwork.
+    each through the backbone as a BlockedNetwork of TRUNK_BLOCK images.
 
     `normalize=(mean, std)` applies the same pixel normalization the backbone
     saw during pretraining; feeding un-normalized images to a backbone trained
@@ -95,7 +95,7 @@ def _embed_all(backbone: Network, images: Array,
     if normalize is not None:
         mean, std = normalize
         images = (images - mean) / std
-    net = TrunkNetwork(backbone.layers)
+    net = BlockedNetwork(backbone.layers, TRUNK_BLOCK)
     outs = []
     for start in range(0, images.shape[0], EMBED_BLOCK):
         outs.append(net.forward(images[start:start + EMBED_BLOCK]))

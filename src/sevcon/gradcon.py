@@ -5,16 +5,16 @@ The severity score of an image is its reconstruction error minus alpha times
 the alignment of its decoder gradients with the reference gradients averaged
 over healthy training. Higher score = more severe.
 
-Every training pass goes through ``Autoencoder.forward/backward``, which
-run a batch in cache-sized blocks of ``models.MICRO_BATCH`` images and sum
-the blocks' parameter gradients; a single-image pass (the held-out
-alignment) is one block with the unblocked arithmetic. Scoring runs a corpus
-in blocks of ``MICRO_BATCH`` images too, but reads each image's decoder
-gradients from one decoder-only backward of the block: the conv layers'
-unsummed weight-gradient stacks, and the rank-1 identity for the first
-``Dense``. Both deal their blocks to lanes (``models.deal``), so the blocks
-of one pass run at once on the usable cores, with results that do not
-depend on the lane count.
+Every training pass goes through ``Autoencoder.forward/backward``, a
+``models.BlockedNetwork`` that runs a batch in cache-sized blocks of
+``models.MICRO_BATCH`` images and sums the blocks' parameter gradients; a
+single-image pass (the held-out alignment) is one plain Network call.
+Scoring runs a corpus in blocks of ``MICRO_BATCH`` images too, but reads
+each image's decoder gradients from one decoder-only backward of the block:
+the conv layers' unsummed weight-gradient stacks, and the rank-1 identity
+for the first ``Dense``. Both deal their blocks to lanes (``models.deal``),
+so the blocks of one pass run at once on the usable cores, with results that
+do not depend on the lane count.
 """
 
 from __future__ import annotations

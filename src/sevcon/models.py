@@ -3,16 +3,16 @@ projection head, and linear classifier heads.
 
 The backbone and both heads are plain ``Network`` stacks; a caller that needs
 an output width reads it from the last layer (``net.layers[-1].n_out``), and
-a backbone trained jointly with a head is ``TrunkNetwork(backbone.layers +
-head.layers)``, which shares the layer objects and runs the backbone's conv
-trunk in blocks on lanes. Only the autoencoder keeps a class of its own, for
-the encoder/decoder split that gradcon scores with; its passes run in blocks
-on lanes too. Both go through ``BlockedPass``, which keeps each block's
-layer caches, and ``deal``, which runs the blocks on the lanes. Each
-decoder upsampling stage is one ``UpsampleConv2d``, a 2x nearest upsample
-and a 3x3 conv computed on the low-res grid, so the decoder is [Dense, Relu,
-Reshape, (UpsampleConv2d, Relu) per stage, Conv2d, Sigmoid] and its weight
-layers are 0, 3, 5, 7 (and 9 at side 64).
+a backbone trained jointly with a head is ``BlockedNetwork(backbone.layers +
+head.layers, TRUNK_BLOCK)``, which shares the layer objects. Only the
+autoencoder keeps a class of its own, for the encoder/decoder split that
+gradcon scores with; its passes are a ``BlockedNetwork`` of MICRO_BATCH
+images. A ``BlockedNetwork`` keeps each block's layer caches and runs the
+blocks on lanes through ``deal``. Each decoder upsampling stage is one
+``UpsampleConv2d``, a 2x nearest upsample and a 3x3 conv computed on the
+low-res grid, so the decoder is [Dense, Relu, Reshape, (UpsampleConv2d,
+Relu) per stage, Conv2d, Sigmoid] and its weight layers are 0, 3, 5, 7 (and
+9 at side 64).
 
 All builders are deterministic in (config, seed). Desk-scale defaults:
 32x32 grayscale inputs; the embedding and projection widths come from the
@@ -53,11 +53,12 @@ SUPPORTED_SIDES = (32, 64)
 # images/s at 4, 225 at 8, 221 at 16, 138 at 32 (one block, one busy lane).
 MICRO_BATCH = 8
 
-# Images per block of a TrunkNetwork's conv trunk. Ten SupCon steps of 128
-# views at one BLAS thread on the same VM, median of six alternating rounds:
-# 357 ms at 16, 342 at 32, 416 at 64, 533 at 128 (one block). From 64 up,
-# the column arrays each backward rebuilds made glibc trim and re-fault its
-# heap: about 3000 minor faults per step, against 310 at 32.
+# Images per block of a backbone pass (with or without a head). Ten SupCon
+# steps of 128 views at one BLAS thread on the same VM took a median 222 ms
+# at 8 and 156 at 32 (nine rounds in three processes); with the Dense tail
+# outside the blocks, 357 ms at 16, 342 at 32, 416 at 64 and 533 at 128 (one
+# block). From 64 up, the column arrays each backward rebuilds made glibc
+# trim and re-fault its heap: about 3000 minor faults per step, against 310.
 TRUNK_BLOCK = 32
 
 
@@ -133,19 +134,22 @@ def deal(nets: list[Network], n_blocks: int, work: Callable[[list[Network], int]
     _run_lanes(n_lanes, lane)
 
 
-class BlockedPass:
-    """Passes through the networks ``nets``, applied in turn, in blocks of
-    ``size`` images dealt to lanes (``deal``). ``forward`` keeps each
-    block's layer caches; ``backward`` puts them back into the layers of the
-    lane that runs the block. An empty batch is one empty block, as an
-    unblocked pass would see it."""
+class BlockedNetwork(Network):
+    """A Network whose passes run in blocks of ``size`` images dealt to lanes
+    (``deal``); each block runs the whole layer stack with its own caches.
 
-    def __init__(self, nets: list[Network], size: int):
-        self.nets, self.size = nets, size
+    ``forward`` keeps each block's layer caches, and ``backward`` puts them
+    back into the layers of the lane that runs the block. ``backward`` leaves
+    in each layer's ``grads`` the sum of the blocks' gradients, added on the
+    calling thread last block first, so every result is bitwise independent
+    of the lane count. The rows of ``dout`` carry the whole batch's loss
+    scaling, so that sum is the batch gradient. At <= ``size`` images a pass
+    is one plain Network call; an empty batch is one empty block."""
+
+    def __init__(self, layers: list[Layer], size: int):
+        super().__init__(layers)
+        self.size = size
         self.blocks: list = []  # per block: (rows, layer caches)
-
-    def _layers(self, nets: list[Network]):
-        return [layer for net in nets for layer in net.layers]
 
     def forward(self, x: Array) -> Array:
         # the last pass's block caches go before this pass allocates its own
@@ -154,110 +158,59 @@ class BlockedPass:
 
         def block(nets, b):
             part = x[b * self.size:(b + 1) * self.size]
-            rows = len(part)
-            for net in nets:
-                part = net.forward(part)
-            out[b] = part
-            self.blocks[b] = (rows, [layer._cache for layer in self._layers(nets)])
+            out[b] = nets[0].forward(part)
+            self.blocks[b] = (len(part), [layer._cache for layer in nets[0].layers])
 
-        deal(self.nets, len(self.blocks), block)
-        return out[0] if len(out) == 1 else np.concatenate(out)
-
-    def backward(self, dout: Array, work: Callable[[list[Network], Array], object]) -> list:
-        """work(lane_nets, rows of dout) for each block, on its forward's
-        caches; returns the results in block order. Each lane runs its last
-        block first: its caches are the likeliest cached."""
-        if not self.blocks:
-            raise RuntimeError("blocked pass: backward called before forward")
-        rows = sum(n for n, _ in self.blocks)
-        if dout.shape[0] != rows:
-            raise ShapeError(f"blocked pass: dout has {dout.shape[0]} rows, "
-                             f"forward had {rows}")
-        results = [None] * len(self.blocks)
-
-        def block(nets, b):
-            for layer, cache in zip(self._layers(nets), self.blocks[b][1]):
-                layer._cache = cache
-            results[b] = work(nets, dout[b * self.size:(b + 1) * self.size])
-
-        deal(self.nets, len(self.blocks), block, reverse=True)
-        return results
-
-
-class TrunkNetwork(Network):
-    """A Network whose conv trunk, the layers before its first Dense, runs in
-    blocks of TRUNK_BLOCK images (BlockedPass), while the Dense tail runs on
-    the whole batch on the calling thread.
-
-    Each trunk conv leaves per-image weight and bias gradients
-    (``per_sample=True``); they are concatenated in block order and summed
-    over the batch axis, the sum a one-call backward takes. A block's
-    arrays do not depend on the block, so outputs, input gradients and
-    parameter gradients equal ``Network``'s bit for bit."""
-
-    def __init__(self, layers: list[Layer]):
-        super().__init__(layers)
-        n = next(i for i, layer in enumerate(self.layers) if isinstance(layer, Dense))
-        self.trunk = BlockedPass([Network(self.layers[:n])], TRUNK_BLOCK)
-        self.tail = Network(self.layers[n:])
-
-    def forward(self, x: Array) -> Array:
-        return self.tail.forward(self.trunk.forward(x))
+        deal([Network(self.layers)], len(self.blocks), block)
+        return np.concatenate(out)
 
     def backward(self, dout: Array, input_grad: bool = True) -> Array | None:
-        def block(nets, d):
+        if not self.blocks:
+            raise RuntimeError("blocked network: backward called before forward")
+        rows = sum(n for n, _ in self.blocks)
+        if dout.shape[0] != rows:
+            raise ShapeError(f"blocked network: dout has {dout.shape[0]} rows, "
+                             f"forward had {rows}")
+        dx, grads = [None] * len(self.blocks), [None] * len(self.blocks)
+
+        def block(nets, b):
             layers = nets[0].layers
-            for i in range(len(layers) - 1, -1, -1):
-                if layers[i].params:
-                    d = layers[i].backward(d, input_grad=input_grad or i > 0, per_sample=True)
-                else:
-                    d = layers[i].backward(d)
-            return d, [dict(layer.grads) for layer in layers]
+            for layer, cache in zip(layers, self.blocks[b][1]):
+                layer._cache = cache
+            dx[b] = nets[0].backward(dout[b * self.size:(b + 1) * self.size], input_grad)
+            grads[b] = [dict(layer.grads) for layer in layers]
 
-        results = self.trunk.backward(self.tail.backward(dout), block)
-        for i, layer in enumerate(self.trunk.nets[0].layers):
-            layer.grads = {name: np.concatenate([r[1][i][name] for r in results]).sum(axis=0)
-                           for name in layer.params}
-        return np.concatenate([r[0] for r in results]) if input_grad else None
-
-
-@dataclass
-class Autoencoder:
-    """Encoder/decoder pair whose passes are cache-blocked and run on lanes.
-
-    ``forward`` runs the batch in blocks of MICRO_BATCH images (BlockedPass);
-    ``backward`` leaves in each layer's ``grads`` the sum over blocks. The
-    rows of ``dout`` carry the whole batch's loss scaling, so that sum is the
-    batch gradient. At <= MICRO_BATCH images a pass is one block with the
-    unblocked arithmetic. The input is data: its gradient is not computed.
-    ``backward`` sums the per-block gradients on the calling thread, last
-    block first, so every result is bitwise independent of the lane count."""
-
-    encoder: Network
-    decoder: Network
-    _pass: BlockedPass = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._pass = BlockedPass([self.encoder, self.decoder], MICRO_BATCH)
-
-    def forward(self, x: Array) -> Array:
-        return self._pass.forward(x)
-
-    def backward(self, dout: Array) -> None:
-        def block(nets, d):
-            enc, dec = nets
-            enc.backward(dec.backward(d), input_grad=False)
-            return [dict(layer.grads) for layer in enc.layers + dec.layers]
-
-        grads = self._pass.backward(dout, block)
+        # each lane runs its last block first: its caches are the likeliest cached
+        deal([Network(self.layers)], len(self.blocks), block, reverse=True)
         # each backward assigns new grads arrays, so the sums may go in place
         total = grads[-1]
         for block_grads in reversed(grads[:-1]):
             for sums, g in zip(total, block_grads):
                 for name in sums:
                     sums[name] += g[name]
-        for sums, layer in zip(total, self.encoder.layers + self.decoder.layers):
+        for sums, layer in zip(total, self.layers):
             layer.grads.update(sums)
+        return np.concatenate(dx) if input_grad else None
+
+
+@dataclass
+class Autoencoder:
+    """Encoder/decoder pair whose passes run as one BlockedNetwork over both
+    stacks' layers, in blocks of MICRO_BATCH images. The input is data:
+    ``backward`` does not compute its gradient."""
+
+    encoder: Network
+    decoder: Network
+    _net: BlockedNetwork = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._net = BlockedNetwork(self.encoder.layers + self.decoder.layers, MICRO_BATCH)
+
+    def forward(self, x: Array) -> Array:
+        return self._net.forward(x)
+
+    def backward(self, dout: Array) -> None:
+        self._net.backward(dout, input_grad=False)
 
     def param_dict(self) -> dict[str, Array]:
         d = {f"encoder.{k}": v for k, v in self.encoder.named_params()}

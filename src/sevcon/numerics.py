@@ -123,10 +123,10 @@ class Conv2d(Layer):
     through the same column builder; at stride 2 it is a k*k strided
     scatter-add of W^T dout. ``backward(dout, input_grad=False)`` skips the
     input gradient and returns None, for a first layer whose input is data.
-    ``backward(dout, per_sample=True)`` leaves per-image gradients: in
-    grads["w"] the (B, C_out, C_in, k, k) stack of the dW GEMM's terms before
-    the sum over b, and in grads["b"] the (B, C_out) sums of each image's
-    dout. Their sums over b are the summed pass's gradients, bit for bit."""
+    ``backward(dout, per_sample=True)`` leaves in grads["w"] the per-image
+    (B, C_out, C_in, k, k) stack of the dW GEMM's terms before the sum over
+    b, whose sum over b is the summed pass's dW bit for bit; grads["b"] stays
+    the batch sum."""
 
     kernel, pad = 3, 1
 
@@ -167,7 +167,7 @@ class Conv2d(Layer):
         dw = np.matmul(dmat, _columns(xp, k, s, Ho, Wo).transpose(0, 2, 1))
         self.grads["w"] = (dw.reshape((B,) + w.shape) if per_sample
                            else dw.sum(axis=0).reshape(w.shape))
-        self.grads["b"] = dmat.sum(axis=2) if per_sample else dmat.sum(axis=(0, 2))
+        self.grads["b"] = dmat.sum(axis=(0, 2))
         if not input_grad:
             return None
         if s == 1:
@@ -226,7 +226,7 @@ class UpsampleConv2d(Layer):
     and b, drawn by the same call. Forward keeps the pad-1 input, from which
     backward rebuilds the columns. ``backward(dout, per_sample=True)`` is as
     in Conv2d, each image's phase gradient folded back on its own, but its
-    sums over b match the summed pass's only to rounding. It never runs
+    sum over b matches the summed pass's only to rounding. It never runs
     first in a network, so it always returns its input gradient. Named
     "conv2d", as a stride-1 Conv2d is."""
 
@@ -271,7 +271,7 @@ class UpsampleConv2d(Layer):
         dk = dk.reshape(-1, 2, 2, self.c_out, C, 2, 2).transpose(0, 3, 4, 1, 2, 5, 6)
         dw = (dk.reshape(-1, 16) @ _PHASE_FOLD.T).reshape((-1,) + self.params["w"].shape)
         self.grads["w"] = dw if per_sample else dw[0]
-        self.grads["b"] = dmat.sum(axis=(1, 3)) if per_sample else dmat.sum(axis=(0, 1, 3))
+        self.grads["b"] = dmat.sum(axis=(0, 1, 3))
         dpad = np.zeros((B, 2, 2, self.c_out, H + 2, W + 2))
         dpad[..., 1:H + 1, 1:W + 1] = dmat.reshape(B, 2, 2, self.c_out, H, W)
         # dcols[n, a, b, c, t, s, i, j] = dpad[n, a, b, c, 2-a-t+i, 2-b-s+j]: a

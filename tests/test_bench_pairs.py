@@ -4,6 +4,7 @@ metric but the claim gets a no-regression verdict."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ def fake_result(wall_s, metrics=True):
     names = ("setup_s", "wall_s", "gradcon_images_per_s", "peak_rss_mb", "severity_auroc")
     return {"correct": metrics, "attempted": 3, "failed": 0 if metrics else 1,
             "metrics": {n: {"value": wall_s} for n in names} if metrics else {},
-            "env": env, "quality": {}}
+            "env": env, "quality": {}, "failed_stages": []}
 
 
 def test_run_without_metrics_is_named_and_file_written(tmp_path, monkeypatch, capsys):
@@ -108,3 +109,46 @@ def test_bad_claim_exits_2_before_any_run(tmp_path, monkeypatch, capsys, claim):
     assert exit_info.value.code == 2
     assert "--claim" in capsys.readouterr().err
     assert runs == [] and not (change / "BENCH_pr99.json").exists()
+
+
+def test_failed_stages_are_named_with_side_seed_and_error(tmp_path, monkeypatch, capsys):
+    """run_one reads the failed stages, set-up and measured, from each run's
+    record.json; the workload block lists them with side and seed, and the
+    script prints them."""
+    bench = load_script()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    floor = "severity_auroc 0.6100 is below the floor 0.65"
+
+    def run(cmd, cwd, capture_output, text):  # perfbench/run.py, stubbed
+        seed = int(cmd[cmd.index("--seed") + 1])
+        failing = cwd == change.resolve() and seed == 12
+
+        def stage(argv, error=None):
+            return {"stage": argv, "command": argv.split()[0], "wall_s": 1.0, "error": error}
+
+        record = {"env": fake_result(1.0)["env"], "summary": {},
+                  "setups": [{"stages": [stage("gen-data")]}],
+                  "iterations": [{"stages": [stage("train-gradcon"),
+                                             stage("score --scorer severity",
+                                                   floor if failing else None)]}]}
+        rd = cwd / ".perfbench_runs" / f"score-pipeline-seed{seed}-trace0"
+        rd.mkdir(parents=True, exist_ok=True)
+        (rd / "record.json").write_text(json.dumps(record))
+        result = fake_result(1.0)
+        result["failed"] = int(failing)
+        for key in ("env", "quality", "failed_stages"):
+            del result[key]
+        return subprocess.CompletedProcess(cmd, int(failing), json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    assert bench.main(["--parent", str(parent), "--change", str(change), "--seeds", "11-13",
+                       "--workloads", "score-pipeline", "--pr", "99"]) == 1
+    block = json.loads((change / "BENCH_pr99.json").read_text())["workloads"]["score-pipeline"]
+    assert block["failed_stages"] == [{"side": "change", "seed": 12,
+                                       "stage": "score --scorer severity", "error": floor}]
+    assert block["stage_calls"]["change"]["failed"] == 1
+    printed = capsys.readouterr().out
+    assert f"FAILED change seed 12: score --scorer severity: {floor}" in printed

@@ -200,7 +200,13 @@ def test_exit_codes(small_run, tmp_path, capsys):
                                 ("contrastive", "normalize_mean", "nan"),
                                 ("gradcon", "alpha", "nan"),
                                 ("gradcon", "alpha", "-0.1"),
-                                ("gradcon", "alpha", "inf")]:
+                                ("gradcon", "alpha", "inf"),
+                                # an infinite rate trains a non-finite model
+                                ("gradcon", "learning_rate", "inf"),
+                                ("gradcon", "warmup_learning_rate", "inf"),
+                                ("contrastive", "learning_rate", "inf"),
+                                ("probe", "learning_rate", "inf"),
+                                ("baselines", "classifier_learning_rate", "inf")]:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         capsys.readouterr()
         assert main(["--run-dir", str(fresh), "--config", str(bad),

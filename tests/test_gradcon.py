@@ -265,21 +265,18 @@ def test_constraint_update_term_restores_decoder_weights(monkeypatch):
 
     original = Network.backward
     for lanes, failing in ((1, 1), (2, 0), (2, 1)):
-        decoder_calls, encoder_ends, lock = [], [], threading.Lock()
+        calls, ends, lock = [], [], threading.Lock()
 
-        def backward(net, dout, input_grad=True):
-            if not input_grad:  # the encoder, the last of a block's work
-                original(net, dout, input_grad=False)
-                encoder_ends.append(1)
-                return None
+        def backward(net, dout, input_grad=True):  # one call per block
             with lock:
-                decoder_calls.append(1)
-                n = len(decoder_calls)
-            if n > 2:  # the -delta u pass; each block calls its decoder once
+                calls.append(1)
+                n = len(calls)
+            if n > 2:  # the -delta u pass
                 if len(dout) == (MICRO_BATCH, 3)[failing]:  # the rows of blocks 0 and 1
                     raise RuntimeError(f"injected failure in block {failing}")
                 time.sleep(0.2)  # still running when the other lane fails
-            return original(net, dout)
+            original(net, dout, input_grad)
+            ends.append(1)
 
         with monkeypatch.context() as m:
             m.setattr(models, "LANES", lanes)
@@ -287,9 +284,9 @@ def test_constraint_update_term_restores_decoder_weights(monkeypatch):
             with pytest.raises(RuntimeError, match=f"block {failing}"):
                 _constraint_update_term(model, batch, dec_keys, dalign)
         if lanes == 1:  # the -delta u pass stopped at its first block
-            assert (len(decoder_calls), len(encoder_ends)) == (3, 2)
+            assert (len(calls), len(ends)) == (3, 2)
         else:  # the other lane ended its block before the exception arrived
-            assert (len(decoder_calls), len(encoder_ends)) == (4, 3)
+            assert (len(calls), len(ends)) == (4, 3)
         assert params_checksum(model.param_dict()) == before
         again = _constraint_update_term(model, batch, dec_keys, dalign)
         assert all(np.array_equal(again[k], hv[k]) for k in hv)

@@ -12,7 +12,7 @@ from conftest import central_diff, rel_err
 from sevcon import models
 from sevcon.models import (
     MICRO_BATCH,
-    TrunkNetwork,
+    BlockedNetwork,
     _lane_count,
     build_autoencoder,
     build_backbone,
@@ -242,56 +242,83 @@ def test_lane_count_rule(monkeypatch, env, cores, lanes):
     assert _lane_count() == lanes
 
 
-def test_trunk_network_matches_one_call_bitwise(monkeypatch):
-    """A TrunkNetwork's output, input gradient and every parameter gradient
-    equal one Network call's bit for bit, for a backbone with a projection
-    head (pretraining, the classifier) and alone (ODIN's input gradient), at
-    1, 2 and 4 lanes (4 with the interpreter switching threads every
-    microsecond) and ragged and whole blocks."""
+def block_loop(layers, size, x, dout, input_grad):
+    """The oracle of a BlockedNetwork pass: one plain Network call per block
+    of ``size`` rows, forward then backward, with the parameter gradients
+    summed last block first."""
+    net, outs, dxs, grads = Network(layers), [], [], []
+    for start in range(0, max(len(x), 1), size):
+        outs.append(net.forward(x[start:start + size]))
+        dxs.append(net.backward(dout[start:start + size], input_grad))
+        grads.append({k: g.copy() for k, g in net.grad_dict().items()})
+    total = grads[-1]
+    for block_grads in reversed(grads[:-1]):
+        for key in total:
+            total[key] = total[key] + block_grads[key]
+    return np.concatenate(outs), np.concatenate(dxs) if input_grad else None, total
+
+
+def test_blocked_network_matches_block_loop_bitwise(monkeypatch):
+    """A BlockedNetwork's output, input gradient and every parameter gradient
+    equal the block loop's bit for bit, and at <= one block one Network
+    call's: for the autoencoder's layers at MICRO_BATCH, and for a backbone
+    with a projection head (pretraining, the classifier) and alone
+    (embedding, ODIN's input gradient) at TRUNK_BLOCK; at 1, 2 and 4 lanes
+    (4 with the interpreter switching threads every microsecond), for ragged
+    and whole blocks."""
     rng = np.random.default_rng(5)
+    model = build_autoencoder(32, 8, seed=4)
     backbone = build_backbone(32, 16, seed=2)
-    nets = [backbone.layers + build_projection_head(16, 8, seed=3).layers, backbone.layers]
-    for layer in nets[0]:
-        for p in layer.params.values():
-            p += 0.05 * rng.normal(size=p.shape)  # nonzero biases as well
+    cases = [(model.encoder.layers + model.decoder.layers, MICRO_BATCH),
+             (backbone.layers + build_projection_head(16, 8, seed=3).layers, models.TRUNK_BLOCK),
+             (backbone.layers, models.TRUNK_BLOCK)]
+    for layers, _ in cases[:2]:
+        for layer in layers:
+            for p in layer.params.values():
+                p += 0.05 * rng.normal(size=p.shape)  # nonzero biases as well
     switch = sys.getswitchinterval()
     for lanes in (1, 2, 4):
         monkeypatch.setattr(models, "LANES", lanes)
         if lanes == 4:
             sys.setswitchinterval(1e-6)
         try:
-            for layers in nets:
-                one, blocked = Network(layers), TrunkNetwork(layers)
-                for n in (1, 31, 32, 33, 128, 300):
+            for layers, size in cases:
+                blocked = BlockedNetwork(layers, size)
+                for n in (1, 7, 8, 9, 33, 300):
                     x = rng.normal(size=(n, 1, 32, 32))
-                    out = one.forward(x)
-                    dout = rng.normal(size=out.shape)
-                    dx = one.backward(dout)
-                    grads = {k: g.copy() for k, g in one.grad_dict().items()}
-                    assert np.array_equal(blocked.forward(x), out), (lanes, n)
-                    assert np.array_equal(blocked.backward(dout), dx), (lanes, n)
+                    one = Network(layers)
+                    one_out = one.forward(x)
+                    dout = rng.normal(size=one_out.shape)
+                    one_dx = one.backward(dout)
+                    one_grads = {k: g.copy() for k, g in one.grad_dict().items()}
+                    out, dx, grads = block_loop(layers, size, x, dout, True)
+                    if n <= size:
+                        assert np.array_equal(out, one_out) and np.array_equal(dx, one_dx)
+                        assert all(np.array_equal(g, one_grads[k]) for k, g in grads.items())
+                    assert np.array_equal(blocked.forward(x), out), (lanes, size, n)
+                    assert np.array_equal(blocked.backward(dout), dx), (lanes, size, n)
                     assert blocked.grad_dict().keys() == grads.keys()
                     for key, g in blocked.grad_dict().items():
-                        assert np.array_equal(g, grads[key]), (lanes, n, key)
+                        assert np.array_equal(g, grads[key]), (lanes, size, n, key)
                     assert blocked.backward(dout, input_grad=False) is None
                     for key, g in blocked.grad_dict().items():
-                        assert np.array_equal(g, grads[key]), (lanes, n, key)
+                        assert np.array_equal(g, grads[key]), (lanes, size, n, key)
         finally:
             sys.setswitchinterval(switch)
 
 
-def test_failing_trunk_block_stops_every_lane_first(monkeypatch):
+def test_failing_block_stops_every_lane_first(monkeypatch):
     """A block that raises on lane 1 reaches the caller only after lane 0
     has ended both of its blocks; the next pass gives the same bits."""
     monkeypatch.setattr(models, "LANES", 2)
-    net = TrunkNetwork(build_backbone(32, 16, seed=2).layers)
+    net = BlockedNetwork(build_backbone(32, 16, seed=2).layers, models.TRUNK_BLOCK)
     x = RNG.normal(size=(4 * models.TRUNK_BLOCK, 1, 32, 32))
     dout = RNG.normal(size=(len(x), 16))
     net.forward(x)
     want = net.backward(dout)
     original, ended = Flatten.backward, []
 
-    def backward(layer, d):  # the first layer of each block's backward
+    def backward(layer, d):  # once in each block's backward
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("injected failure on lane 1")
         time.sleep(0.2)  # still running when lane 1 fails

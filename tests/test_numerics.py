@@ -282,10 +282,10 @@ def test_skipped_input_gradient_leaves_parameter_gradients_bitwise():
 
 
 def test_per_sample_weight_gradients_match_batch_one_passes():
-    """per_sample=True leaves one weight and one bias gradient per image,
-    each within 1e-12 of that image's own batch-1 backward, with the same
-    input gradient as the summed pass. A Conv2d's stacks summed over the
-    batch axis are the summed pass's gradients bit for bit."""
+    """per_sample=True leaves one weight gradient per image, each within
+    1e-12 of that image's own batch-1 backward, with the same input gradient
+    and bias gradient as the summed pass. A Conv2d's stack summed over the
+    batch axis is the summed pass's weight gradient bit for bit."""
     for layer, shape in [(Conv2d(2, 3, RNG), (5, 2, 6, 7)),
                          (Conv2d(2, 3, RNG, stride=2), (5, 2, 7, 6)),
                          (UpsampleConv2d(2, 3, RNG), (5, 2, 4, 5))]:
@@ -294,17 +294,16 @@ def test_per_sample_weight_gradients_match_batch_one_passes():
         dx = layer.backward(dout)
         summed = dict(layer.grads)
         assert np.array_equal(layer.backward(dout, per_sample=True), dx)
-        stacks = dict(layer.grads)
-        for name, p in layer.params.items():
-            assert stacks[name].shape == (shape[0],) + p.shape
-            assert rel_err(stacks[name].sum(axis=0), summed[name]) <= 1e-12
-            if isinstance(layer, Conv2d):
-                assert np.array_equal(stacks[name].sum(axis=0), summed[name]), name
+        stack = layer.grads["w"]
+        assert np.array_equal(layer.grads["b"], summed["b"])
+        assert stack.shape == (shape[0],) + layer.params["w"].shape
+        assert rel_err(stack.sum(axis=0), summed["w"]) <= 1e-12
+        if isinstance(layer, Conv2d):
+            assert np.array_equal(stack.sum(axis=0), summed["w"])
         for b in range(shape[0]):
             layer.forward(x[b:b + 1])
             layer.backward(dout[b:b + 1])
-            for name in layer.params:
-                assert rel_err(stacks[name][b], layer.grads[name]) <= 1e-12, (layer.name, b)
+            assert rel_err(stack[b], layer.grads["w"]) <= 1e-12, (layer.name, b)
 
 
 def test_upsample_backward_matches_block_sums():
