@@ -262,12 +262,11 @@ def _severity_labels(scores: np.ndarray, n_bins: int) -> labeling.SeverityLabeli
         raise ConfigError(str(e)) from None
 
 
-def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer: str,
-                      force: bool):
+def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, force: bool):
     ids = _load_dataset(run_dir, "unlabeled").sample_ids
-    scores = _load_scores(run_dir, scorer, ids)
+    scores = _load_scores(run_dir, "severity", ids)
     lab = _severity_labels(scores, n_bins)
-    _write_csv(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv",
+    _write_csv(run_dir / "labels" / f"severity_bins{n_bins}.csv",
                ["sample_id", "severity", "bin_label"],
                [[sid, float(s), int(l)] for sid, s, l in zip(ids, scores, lab.labels)],
                cfg)
@@ -275,27 +274,21 @@ def stage_make_labels(run_dir: Path, cfg: ExperimentConfig, n_bins: int, scorer:
           f"(sizes {lab.bin_sizes.min()}..{lab.bin_sizes.max()})")
 
 
-def _load_labels(run_dir: Path, scorer: str, n_bins: int,
+def _load_labels(run_dir: Path, n_bins: int,
                  sample_ids: list[str]) -> labeling.SeverityLabeling:
     """The rank-and-bin labels `make-labels` wrote, checked against the corpus."""
-    bins = _read_checked(run_dir / "labels" / f"{scorer}_bins{n_bins}.csv",
-                         f"make-labels --bins {n_bins} --scorer {scorer}", sample_ids,
+    bins = _read_checked(run_dir / "labels" / f"severity_bins{n_bins}.csv",
+                         f"make-labels --bins {n_bins}", sample_ids,
                          {"bin_label": int})["bin_label"]
     return labeling.SeverityLabeling(n_bins, bins, np.bincount(bins, minlength=n_bins))
 
 
-def _backbone_tag(mode: str, scorer: str, n_bins: int) -> str:
-    if mode == "severity":
-        return f"{scorer}_b{n_bins}"
-    return mode  # "simclr" or "random"
-
-
-def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
-                   n_bins: int | None, force: bool):
+def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, n_bins: int | None,
+                   force: bool):
     if n_bins is None:
         n_bins = cfg.labeling.n_bins
     unlabeled = _load_dataset(run_dir, "unlabeled").training_view()
-    tag = _backbone_tag(mode, scorer, n_bins)
+    tag = f"severity_b{n_bins}" if mode == "severity" else mode
     c = cfg.contrastive
     backbone = models.build_backbone(cfg.data.image_side, c.embedding_dim,
                                      cfg.derive_seed("pretrain-backbone"))
@@ -307,7 +300,7 @@ def stage_pretrain(run_dir: Path, cfg: ExperimentConfig, mode: str, scorer: str,
     if mode == "severity":
         if not 1 <= n_bins <= len(unlabeled):  # make-labels refuses it too
             raise ConfigError(f"n_bins must be in [1, {len(unlabeled)}], got {n_bins}")
-        pseudo = _load_labels(run_dir, scorer, n_bins, unlabeled.sample_ids).labels
+        pseudo = _load_labels(run_dir, n_bins, unlabeled.sample_ids).labels
         curve = contrastive.pretrain(backbone, head, unlabeled.images, pseudo, c, seed)
     elif mode == "simclr":
         curve = contrastive.simclr_mode(backbone, head, unlabeled.images, c, seed)
@@ -455,7 +448,7 @@ def stage_report(run_dir: Path, cfg: ExperimentConfig, force: bool):
     n_bins = cfg.labeling.n_bins
     if (run_dir / "labels" / f"severity_bins{n_bins}.csv").exists():
         unlabeled = _load_dataset(run_dir, "unlabeled")
-        lab = _load_labels(run_dir, "severity", n_bins, unlabeled.sample_ids)
+        lab = _load_labels(run_dir, n_bins, unlabeled.sample_ids)
         k = min(cfg.labeling.extreme_report_k, int(lab.bin_sizes.min()))
         extremes = labeling.extreme_bin_report(lab, unlabeled.images, k,
                                                seed=cfg.derive_seed("report"))
@@ -510,11 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", choices=SCORERS, default="severity")
     p = add("make-labels", stage_make_labels)
     p.add_argument("--bins", dest="n_bins", type=int, required=True)
-    p.add_argument("--scorer", choices=SCORERS, default="severity")
     p = add("pretrain", stage_pretrain)
     p.add_argument("--mode", choices=("severity", "simclr", "random"),
                    default="severity")
-    p.add_argument("--scorer", choices=SCORERS, default="severity")
     p.add_argument("--bins", dest="n_bins", type=int, default=None)
     p = add("probe", stage_probe)
     p.add_argument("--task", choices=PROBE_TASKS, required=True)

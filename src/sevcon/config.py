@@ -1,5 +1,10 @@
 """Experiment configuration: one INI file with typed sections, strict key
-checking, a stable config hash, and per-stage seed derivation."""
+checking, a stable config hash, and per-stage seed derivation.
+
+Each setting's default and range are declared once, on its dataclass field
+(`_setting`). `load_config` holds every numeric setting to its declared
+bounds, every float to a finite value, and then checks the few rules that
+are not ranges or that span keys."""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ import configparser
 import hashlib
 import io
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -18,40 +24,51 @@ class ConfigError(ValueError):
     """Bad or inconsistent configuration (CLI exit code 2)."""
 
 
+_BOUNDS = {"ge": ("at least", operator.ge), "gt": ("above", operator.gt),
+           "le": ("at most", operator.le), "lt": ("below", operator.lt)}
+
+
+def _setting(default, **bounds):
+    """A field whose value `load_config` holds to `bounds`: any of ge, gt, le
+    and lt, each the limit of that comparison."""
+    return field(default=default, metadata=bounds)
+
+
 @dataclass
 class DataSection:
-    image_side: int = 32
-    n_stripes: int = 6
+    image_side: int = 32  # one of models.SUPPORTED_SIDES
+    n_stripes: int = _setting(6, ge=0)
     stripe_contrast: float = 0.55
-    noise_std: float = 0.03
-    n_healthy: int = 600
-    n_unlabeled: int = 2000
-    severity_max: int = 4
-    n_labeled_train: int = 100
-    n_test_per_biomarker: int = 200
-    n_multilabel_test: int = 400
+    noise_std: float = _setting(0.03, ge=0)
+    # every split needs a sample and the lesion-bearing ones a lesion
+    n_healthy: int = _setting(600, ge=1)
+    n_unlabeled: int = _setting(2000, ge=2)  # a SupCon step needs two sources
+    severity_max: int = _setting(4, ge=1)
+    n_labeled_train: int = _setting(100, ge=1)
+    n_test_per_biomarker: int = _setting(200, ge=2)  # and even: half positive
+    n_multilabel_test: int = _setting(400, ge=1)
 
 
 @dataclass
 class GradconSection:
-    alpha: float = 0.03
-    epochs: int = 20
-    batch_size: int = 32
-    learning_rate: float = 0.02
+    alpha: float = _setting(0.03, ge=0)
+    epochs: int = _setting(20, ge=1)
+    batch_size: int = _setting(32, ge=1)
+    learning_rate: float = _setting(0.02, ge=0)
     # Learning rate for the first epoch only. A hotter first epoch moves the
     # model out of the initial regime where every image produces nearly the
     # same gradient; afterwards the lower rate keeps the constraint stable.
-    warmup_learning_rate: float = 0.07
-    momentum: float = 0.9
-    latent_dim: int = 32
-    heldout_count: int = 64
+    warmup_learning_rate: float = _setting(0.07, ge=0)
+    momentum: float = _setting(0.9, ge=0, lt=1)
+    latent_dim: int = _setting(32, ge=4)
+    heldout_count: int = _setting(64, ge=0)  # 0 turns the held-out alignment off
 
 
 @dataclass
 class LabelingSection:
-    n_bins: int = 250
+    n_bins: int = _setting(250, ge=1)
     report_bins: str = "250,500,1000"
-    extreme_report_k: int = 8
+    extreme_report_k: int = _setting(8, ge=1)  # one image per extreme bin
 
     def report_bin_list(self) -> list[int]:
         return [int(tok) for tok in self.report_bins.split(",") if tok.strip()]
@@ -59,40 +76,42 @@ class LabelingSection:
 
 @dataclass
 class ContrastiveSection:
-    tau: float = 0.07
-    batch_size: int = 64
-    epochs: int = 40
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-    embedding_dim: int = 64
-    projection_dim: int = 32
-    crop_scale_min: float = 0.85  # area fraction of the random resized crop
-    crop_scale_max: float = 1.0
-    flip_prob: float = 0.5
-    brightness_jitter: float = 0.05
-    contrast_jitter: float = 0.05
+    tau: float = _setting(0.07, gt=0)
+    batch_size: int = _setting(64, ge=2)  # a SupCon step needs two sources
+    epochs: int = _setting(40, ge=0)
+    learning_rate: float = _setting(1e-3, ge=0)
+    momentum: float = _setting(0.9, ge=0, lt=1)
+    embedding_dim: int = _setting(64, ge=1)
+    projection_dim: int = _setting(32, ge=1)
+    # area fractions of the random resized crop, min <= max
+    crop_scale_min: float = _setting(0.85, gt=0, le=1)
+    crop_scale_max: float = _setting(1.0, gt=0, le=1)
+    flip_prob: float = _setting(0.5, ge=0, le=1)
+    # augment draws each jitter as uniform(-j, j) and divides by the std
+    brightness_jitter: float = _setting(0.05, ge=0)
+    contrast_jitter: float = _setting(0.05, ge=0)
     normalize_mean: float = 0.5
-    normalize_std: float = 0.5
+    normalize_std: float = _setting(0.5, gt=0)
     balanced_sampler: bool = False  # sample B/2 bins x 2 images per step
 
 
 @dataclass
 class ProbeSection:
-    epochs: int = 200
-    batch_size: int = 64
-    learning_rate: float = 0.1
-    momentum: float = 0.9
+    epochs: int = _setting(200, ge=0)
+    batch_size: int = _setting(64, ge=1)
+    learning_rate: float = _setting(0.1, ge=0)
+    momentum: float = _setting(0.9, ge=0, lt=1)
 
 
 @dataclass
 class BaselinesSection:
-    classifier_epochs: int = 15
-    classifier_batch_size: int = 64
-    classifier_learning_rate: float = 1e-3
-    classifier_momentum: float = 0.9
-    odin_temperature: float = 1000.0
-    odin_epsilon: float = 0.0014
-    mahalanobis_epsilon: float = 1e-3
+    classifier_epochs: int = _setting(15, ge=0)
+    classifier_batch_size: int = _setting(64, ge=1)
+    classifier_learning_rate: float = _setting(1e-3, ge=0)
+    classifier_momentum: float = _setting(0.9, ge=0, lt=1)
+    odin_temperature: float = _setting(1000.0, gt=0)
+    odin_epsilon: float = _setting(0.0014, ge=0)
+    mahalanobis_epsilon: float = _setting(1e-3, ge=0)
 
 
 _SECTION_TYPES = {
@@ -177,6 +196,18 @@ def load_config(path: Path) -> ExperimentConfig:
             if key not in type_map:
                 raise ConfigError(f"unknown key {sec_name}.{key}")
             setattr(section, key, _convert(raw, type_map[key], f"{sec_name}.{key}"))
+    # each numeric setting within the bounds declared on its field, and finite
+    for sec_name in _SECTION_TYPES:
+        section = getattr(cfg, sec_name)
+        for f in fields(section):
+            value = getattr(section, f.name)
+            rule = [f"{_BOUNDS[op][0]} {limit}" for op, limit in f.metadata.items()]
+            ok = all(_BOUNDS[op][1](value, limit) for op, limit in f.metadata.items())
+            if isinstance(value, float):
+                rule.insert(0, "finite")
+                ok = ok and math.isfinite(value)
+            if not ok:
+                raise ConfigError(f"{sec_name}.{f.name} {value} must be {', '.join(rule)}")
     try:
         if any(n < 1 for n in cfg.labeling.report_bin_list()):
             raise ValueError
@@ -186,63 +217,10 @@ def load_config(path: Path) -> ExperimentConfig:
     if cfg.data.n_test_per_biomarker % 2:
         raise ConfigError(f"data.n_test_per_biomarker {cfg.data.n_test_per_biomarker} "
                           "must be even: each binary test set is half positive")
-    # the least value each stage runs with: every split needs a sample and the
-    # lesion-bearing ones a lesion, a SupCon step needs two sources, the
-    # autoencoder a latent of 4, a report one image per extreme bin
-    least = {("data", "n_healthy"): 1, ("data", "n_unlabeled"): 2,
-             ("data", "n_labeled_train"): 1, ("data", "n_test_per_biomarker"): 2,
-             ("data", "n_multilabel_test"): 1, ("data", "severity_max"): 1,
-             ("data", "n_stripes"): 0,
-             ("gradcon", "epochs"): 1, ("gradcon", "latent_dim"): 4,
-             ("gradcon", "heldout_count"): 0, ("labeling", "extreme_report_k"): 1,
-             ("contrastive", "batch_size"): 2, ("contrastive", "embedding_dim"): 1,
-             ("contrastive", "projection_dim"): 1}
-    for (sec_name, key), low in least.items():
-        value = getattr(getattr(cfg, sec_name), key)
-        if value < low:
-            raise ConfigError(f"{sec_name}.{key} {value} must be at least {low}")
-    # values gen-data cannot render: a negative noise_std raises there, and a
-    # NaN one writes NaN pixels that every later stage refuses
-    if not 0 <= cfg.data.noise_std < math.inf:
-        raise ConfigError(f"data.noise_std {cfg.data.noise_std} must be finite and "
-                          "non-negative")
-    if not math.isfinite(cfg.data.stripe_contrast):
-        raise ConfigError(f"data.stripe_contrast {cfg.data.stripe_contrast} must be finite")
-    c, b = cfg.contrastive, cfg.baselines
-    for key, value in [("contrastive.tau", c.tau),
-                       ("baselines.odin_temperature", b.odin_temperature)]:
-        if not value > 0:
-            raise ConfigError(f"{key} {value} must be positive")
-    if not b.odin_epsilon >= 0:
-        raise ConfigError(f"baselines.odin_epsilon {b.odin_epsilon} must be non-negative")
-    # augment draws each jitter as uniform(-j, j) and divides by the std
-    for key in ("brightness_jitter", "contrast_jitter"):
-        if not 0 <= getattr(c, key) < math.inf:
-            raise ConfigError(f"contrastive.{key} {getattr(c, key)} must be finite and "
-                              "non-negative")
-    if not 0 <= c.flip_prob <= 1:
-        raise ConfigError(f"contrastive.flip_prob {c.flip_prob} must be in [0, 1]")
-    if not math.isfinite(c.normalize_mean):
-        raise ConfigError(f"contrastive.normalize_mean {c.normalize_mean} must be finite")
-    if not 0 < c.normalize_std < math.inf:
-        raise ConfigError(f"contrastive.normalize_std {c.normalize_std} must be finite "
-                          "and positive")
-    if not 0 <= cfg.gradcon.alpha < math.inf:
-        raise ConfigError(f"gradcon.alpha {cfg.gradcon.alpha} must be finite and "
-                          "non-negative")
-    if not 0 < c.crop_scale_min <= c.crop_scale_max <= 1:
-        raise ConfigError(f"contrastive.crop_scale_min {c.crop_scale_min} and crop_scale_max "
-                          f"{c.crop_scale_max} must satisfy 0 < min <= max <= 1")
-    # every training loop takes batches and an SGD rate and momentum
-    for sec_name in _SECTION_TYPES:
-        for key, value in vars(getattr(cfg, sec_name)).items():
-            if key.endswith("batch_size") and value < 1:
-                raise ConfigError(f"{sec_name}.{key} {value} must be at least 1")
-            if key.endswith("learning_rate") and not 0 <= value < math.inf:
-                raise ConfigError(f"{sec_name}.{key} {value} must be finite and "
-                                  "non-negative")
-            if key.endswith("momentum") and not 0 <= value < 1:
-                raise ConfigError(f"{sec_name}.{key} {value} must be in [0, 1)")
+    c = cfg.contrastive
+    if c.crop_scale_min > c.crop_scale_max:
+        raise ConfigError(f"contrastive.crop_scale_min {c.crop_scale_min} must be at most "
+                          f"crop_scale_max {c.crop_scale_max}")
     if cfg.data.image_side not in SUPPORTED_SIDES:
         raise ConfigError(f"data.image_side {cfg.data.image_side} is unsupported; "
                           f"supported: {SUPPORTED_SIDES}")

@@ -206,7 +206,21 @@ def test_exit_codes(small_run, tmp_path, capsys):
                                 ("gradcon", "warmup_learning_rate", "inf"),
                                 ("contrastive", "learning_rate", "inf"),
                                 ("probe", "learning_rate", "inf"),
-                                ("baselines", "classifier_learning_rate", "inf")]:
+                                ("baselines", "classifier_learning_rate", "inf"),
+                                # an infinite temperature makes every logit 0:
+                                # SupCon trains nothing, ODIN scores every image alike
+                                ("contrastive", "tau", "inf"),
+                                ("baselines", "odin_temperature", "inf"),
+                                # a negative epoch count trains nothing
+                                ("contrastive", "epochs", "-3"),
+                                ("probe", "epochs", "-1"),
+                                ("baselines", "classifier_epochs", "-1"),
+                                # values that failed only after the classifier was written
+                                ("baselines", "odin_epsilon", "inf"),
+                                ("baselines", "mahalanobis_epsilon", "nan"),
+                                ("baselines", "mahalanobis_epsilon", "-1"),
+                                # no bins to label: only pretrain refused it
+                                ("labeling", "n_bins", "0")]:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         capsys.readouterr()
         assert main(["--run-dir", str(fresh), "--config", str(bad),
@@ -343,10 +357,6 @@ def test_exit_codes(small_run, tmp_path, capsys):
     ckpt = run / "gradcon" / "autoencoder.npz"
     ckpt.write_bytes(ckpt.read_bytes()[:100])
     assert main(["--run-dir", str(run), "score"]) == EXIT_MISSING
-    scores = run / "scores" / "msp.csv"
-    scores.write_text("".join(scores.read_text().splitlines(keepends=True)[:-1]))
-    assert main(["--run-dir", str(run), "make-labels", "--bins", "8",
-                 "--scorer", "msp"]) == EXIT_MISSING
     scores = run / "scores" / "severity.csv"
     text = scores.read_text()
     scores.write_text(text[:text.rindex(",")])  # the last row cut mid-row

@@ -1,8 +1,23 @@
 """Config parsing, strict key checking, hashing, and seed derivation."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
-from sevcon.config import ConfigError, ExperimentConfig, load_config
+from sevcon.config import _SECTION_TYPES, ConfigError, ExperimentConfig, load_config
+
+# settings without a declared range: image_side is checked against
+# SUPPORTED_SIDES, the other two take any finite value
+UNBOUNDED = {("data", "image_side"), ("data", "stripe_contrast"),
+             ("contrastive", "normalize_mean")}
+
+
+def numeric_fields():
+    for sec_name, section in _SECTION_TYPES.items():
+        for f in fields(section):
+            if type(f.default) in (int, float):
+                yield sec_name, f
 
 
 def test_defaults_round_trip(tmp_path):
@@ -91,6 +106,41 @@ def test_training_settings_validated(tmp_path):
                     "momentum = 0\n[probe]\nmomentum = 0.99\n")
     cfg = load_config(path)
     assert (cfg.gradcon.epochs, cfg.gradcon.batch_size, cfg.probe.momentum) == (1, 1, 0.99)
+
+
+def test_every_numeric_setting_declares_a_range():
+    declared = {(sec_name, f.name) for sec_name, f in numeric_fields() if f.metadata}
+    numeric = {(sec_name, f.name) for sec_name, f in numeric_fields()}
+    assert numeric - declared == UNBOUNDED
+    assert all(set(f.metadata) <= {"ge", "gt", "le", "lt"} for _, f in numeric_fields())
+
+
+def outside(op, limit, typ):
+    """The value nearest to `limit` that breaks the bound `op`."""
+    if op in ("gt", "lt"):
+        return limit
+    step = -1 if op == "ge" else 1
+    return limit + step if typ is int else math.nextafter(limit, step * math.inf)
+
+
+def test_each_declared_bound_and_non_finite_value_rejected(tmp_path):
+    path = tmp_path / "c.ini"
+    for sec_name, f in numeric_fields():
+        cases = [outside(op, limit, type(f.default)) for op, limit in f.metadata.items()]
+        if type(f.default) is float:
+            cases += [math.nan, math.inf, -math.inf]
+        for value in cases:
+            path.write_text(f"[{sec_name}]\n{f.name} = {value!r}\n")
+            with pytest.raises(ConfigError, match=f"^{sec_name}.{f.name} "):
+                load_config(path)
+        path.write_text(f"[{sec_name}]\n{f.name} = {f.default!r}\n")
+        assert getattr(load_config(path), sec_name) == _SECTION_TYPES[sec_name]()
+
+
+def test_default_config_hash_is_pinned():
+    """Run directories, checkpoints and CSVs carry this hash: moving a
+    default, or its text in the INI, would orphan all of them."""
+    assert ExperimentConfig().config_hash() == "818f84bec99aeede"
 
 
 def test_malformed_ini(tmp_path):
