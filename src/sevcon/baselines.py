@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import BaselinesSection, ContrastiveSection, ProbeSection
 from .contrastive import pretrain
-from .evalprobe import EMBED_BLOCK, _embed_all, evaluate, train_head, train_probe
+from .evalprobe import _embed_all, evaluate, train_head, train_probe
 from .labeling import assign_severity_labels
 from .models import (
     TRUNK_BLOCK,
@@ -21,6 +21,7 @@ from .models import (
     build_backbone,
     build_classifier_head,
     build_projection_head,
+    map_blocks,
 )
 from .numerics import (
     Array,
@@ -115,26 +116,26 @@ def _msp_scores(clf: SupervisedClassifier, images: Array) -> Array:
 
 
 def _odin_scores(clf: SupervisedClassifier, images: Array, T: float, eps: float) -> Array:
-    """ODIN per image, in blocks of EMBED_BLOCK rows, each through the
-    backbone as a BlockedNetwork of TRUNK_BLOCK images. The backward of the
-    summed (not mean) cross-entropy gives each row its own input gradient.
-    The perturbed embeddings are scored as _msp_scores scores embeddings, so
-    at T=1 and eps=0 the two are bitwise equal."""
+    """ODIN per image, in blocks of TRUNK_BLOCK images dealt to lanes
+    (``models.map_blocks``): a forward, the backward of the summed (not mean)
+    cross-entropy, which gives each row its own input gradient, and a forward
+    of the perturbed images, whose logits are scored as _msp_scores scores
+    logits, so at T=1 and eps=0 the two are bitwise equal."""
     if T <= 0:
         raise ValueError("T must be positive")
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    images = as_f64(images)
-    backbone = BlockedNetwork(clf.backbone.layers, TRUNK_BLOCK)
-    feats = []
-    for start in range(0, images.shape[0], EMBED_BLOCK):
-        x = images[start:start + EMBED_BLOCK]
-        logits = clf.combo_head.forward(backbone.forward(x))
+
+    def block(nets, x):
+        backbone, head = nets
+        logits = head.forward(backbone.forward(x))
         _, dlogits = softmax_ce_with_logits(logits / T, np.argmax(logits, axis=1))
-        dx = backbone.backward(clf.combo_head.backward(dlogits * len(x) / T))
+        dx = backbone.backward(head.backward(dlogits * len(x) / T))
         require_finite(dx, "odin input gradient")
-        feats.append(backbone.forward(x - eps * np.sign(dx)))
-    return -msp_from_logits(clf.combo_head.forward(np.concatenate(feats)) / T)
+        return head.forward(backbone.forward(x - eps * np.sign(dx)))
+
+    blocks = map_blocks([clf.backbone, clf.combo_head], as_f64(images), TRUNK_BLOCK, block)
+    return -msp_from_logits(np.concatenate(blocks) / T)
 
 
 def msp_score(clf: SupervisedClassifier, x: Array) -> float:
@@ -183,7 +184,7 @@ def score_corpus(clf: SupervisedClassifier, images: Array, scorer: str,
                  b: BaselinesSection, train_images: Array | None = None,
                  train_multihot: Array | None = None) -> Array:
     """Anomaly scores for a whole corpus with the named baseline scorer, each
-    computed over blocks of EMBED_BLOCK images."""
+    computed over blocks of TRUNK_BLOCK images dealt to lanes."""
     if scorer == "msp":
         return _msp_scores(clf, images)
     if scorer == "odin":

@@ -202,8 +202,14 @@ def _load_gradcon(run_dir: Path, cfg: ExperimentConfig, force: bool):
 
 
 def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool):
+    """The classifier, the labeled_train split, and the checkpoint of a newly
+    trained classifier (None for a loaded one), which the caller writes."""
     path = run_dir / "baselines" / "classifier.npz"
     train = _load_dataset(run_dir, "labeled_train")
+    if len(np.unique(train.multihot(), axis=0)) < 2:
+        raise ConfigError(
+            "the labeled_train split holds one label combination, so the classifier "
+            "has one class; raise [data] n_labeled_train and rerun `sevcon gen-data`")
     if path.exists():
         def build(ckpt: Checkpoint) -> baselines.SupervisedClassifier:
             # both widths come from the combo head's weights, shaped (embedding, classes)
@@ -213,36 +219,44 @@ def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool)
                 models.build_classifier_head(*w.shape, 0))
 
         return _load_model(path, "score --scorer msp", "supervised classifier", cfg, force,
-                           build), train
+                           build), train, None
     clf = baselines.train_supervised_classifier(train.images, train.multihot(),
                                                 cfg.contrastive, cfg.baselines,
                                                 cfg.derive_seed("classifier"))
-    save_checkpoint(path, Checkpoint(
-        "classifier", clf.param_dict(), config_hash=cfg.config_hash(),
-        seed=cfg.derive_seed("classifier")))
-    return clf, train
+    return clf, train, Checkpoint("classifier", clf.param_dict(), config_hash=cfg.config_hash(),
+                                  seed=cfg.derive_seed("classifier"))
 
 
 def _score_corpus(run_dir: Path, cfg: ExperimentConfig, scorer: str, force: bool):
+    """The score rows, and the checkpoint of a classifier trained for them
+    (None if none was)."""
     unlabeled = _load_dataset(run_dir, "unlabeled").training_view()
     if scorer == "severity":
         model, ref = _load_gradcon(run_dir, cfg, force)
         scores = gradcon.score_dataset(model, ref, unlabeled.images, cfg.gradcon.alpha)
         rows = [[sid, s.l_recon, s.l_grad, s.value]
                 for sid, s in zip(unlabeled.sample_ids, scores)]
-        return unlabeled, rows
-    clf, train = _train_or_load_classifier(run_dir, cfg, force)
+        return rows, None
+    clf, train, trained = _train_or_load_classifier(run_dir, cfg, force)
     values = baselines.score_corpus(
         clf, unlabeled.images, scorer, cfg.baselines,
         train_images=train.images, train_multihot=train.multihot())
     rows = [[sid, float("nan"), float("nan"), float(v)]
             for sid, v in zip(unlabeled.sample_ids, values)]
-    return unlabeled, rows
+    return rows, trained
 
 
 def stage_score(run_dir: Path, cfg: ExperimentConfig, scorer: str, force: bool):
-    _, rows = _score_corpus(run_dir, cfg, scorer, force)
-    require_finite([r[3] for r in rows], f"{scorer} scores")
+    """Scores the corpus. Scores that are not all finite, or that all tie and
+    so cannot rank the corpus, are refused before anything is written."""
+    rows, trained = _score_corpus(run_dir, cfg, scorer, force)
+    values = [r[3] for r in rows]
+    require_finite(values, f"{scorer} scores")
+    if len(values) > 1 and min(values) == max(values):
+        raise NumericalError(f"every {scorer} score is {values[0]!r}, "
+                             f"so the scores cannot rank the corpus")
+    if trained is not None:
+        save_checkpoint(run_dir / "baselines" / "classifier.npz", trained)
     _write_csv(run_dir / "scores" / f"{scorer}.csv",
                ["sample_id", "l_recon", "l_grad", "severity"], rows, cfg)
     print(f"score: wrote {len(rows)} {scorer} scores")
@@ -363,6 +377,19 @@ def _load_head(run_dir: Path, cfg: ExperimentConfig, tag: str, task: str, force:
                            c.extra["embedding_dim"], c.extra["output_dim"], 0))
 
 
+def _multilabel_test(run_dir: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The multi-label test split's images and multi-hot labels. A label
+    column of one class has no AUC, so it is a config error."""
+    ds = _load_dataset(run_dir, "test_multilabel")
+    multihot = ds.multihot()
+    for name, column in zip(synthdata.BIOMARKER_NAMES, multihot.T):
+        if column.min() == column.max():
+            raise ConfigError(
+                f"the multi-label test set holds one class of {name} only; "
+                f"raise [data] n_multilabel_test and rerun `sevcon gen-data`")
+    return ds.images, multihot
+
+
 def stage_evaluate(run_dir: Path, cfg: ExperimentConfig, tag: str, force: bool):
     backbone = _load_backbone(run_dir, cfg, tag, force)
     binary_heads, binary_tests = {}, {}
@@ -374,15 +401,7 @@ def stage_evaluate(run_dir: Path, cfg: ExperimentConfig, tag: str, force: bool):
             binary_tests[name] = (ds.images,
                                   ds.multihot()[:, synthdata.BIOMARKER_NAMES.index(name)])
     ml_head = _load_head(run_dir, cfg, tag, "multilabel", force)
-    ml_test = None
-    if ml_head is not None:
-        ds = _load_dataset(run_dir, "test_multilabel")
-        ml_test = (ds.images, ds.multihot())
-        for name, column in zip(synthdata.BIOMARKER_NAMES, ml_test[1].T):
-            if column.min() == column.max():  # its AUC is undefined
-                raise ConfigError(
-                    f"the multi-label test set holds one class of {name} only; "
-                    f"raise [data] n_multilabel_test and rerun `sevcon gen-data`")
+    ml_test = _multilabel_test(run_dir) if ml_head is not None else None
     if not binary_heads and ml_head is None:
         raise MissingArtifactError(
             f"no trained probe heads for tag {tag}; run `sevcon probe` first")
@@ -403,10 +422,9 @@ def stage_ablate(run_dir: Path, cfg: ExperimentConfig, n_bins: int, force: bool)
     for scores in scores_by_scorer.values():
         _severity_labels(scores, n_bins)  # a bad bin count fails before any training
     train = _load_dataset(run_dir, "labeled_train")
-    ml = _load_dataset(run_dir, "test_multilabel")
     rows = baselines.ablation_run(
         scores_by_scorer, unlabeled.images,
-        (train.images, train.multihot()), (ml.images, ml.multihot()),
+        (train.images, train.multihot()), _multilabel_test(run_dir),
         n_bins, cfg.contrastive, cfg.probe, cfg.derive_seed("ablate"))
     _write_csv(run_dir / "report" / "ablation.csv", ["scorer", "n_bins", "mean_auc"],
                [[r["scorer"], r["n_bins"], r["mean_auc"]] for r in rows], cfg)

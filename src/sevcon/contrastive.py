@@ -176,6 +176,8 @@ def pretrain(backbone: Network, head: Network, images: Array,
             batch = build_multiview_batch(images, labels, idxs, c, rng)
             u = net.forward(batch.views)
             norms = np.linalg.norm(u, axis=1, keepdims=True)
+            if not np.all(np.isfinite(norms)):  # such as from views that overflowed
+                raise NumericalError("non-finite projection")
             if np.any(norms < 1e-12):
                 raise NumericalError("projection collapsed to zero vector")
             zed = u / norms

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ProbeSection
-from .models import TRUNK_BLOCK, BlockedNetwork
+from .models import TRUNK_BLOCK, map_blocks
 from .numerics import (
     Array,
     Network,
@@ -79,14 +79,10 @@ def roc_auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Images per backbone forward when a whole corpus is embedded or scored.
-EMBED_BLOCK = 256
-
-
 def _embed_all(backbone: Network, images: Array,
                normalize: tuple[float, float] | None = None) -> Array:
-    """Embed a corpus with the frozen backbone, EMBED_BLOCK images at a time,
-    each through the backbone as a BlockedNetwork of TRUNK_BLOCK images.
+    """Embed a corpus with the frozen backbone, one forward per block of
+    TRUNK_BLOCK images, the blocks dealt to lanes (``models.map_blocks``).
 
     `normalize=(mean, std)` applies the same pixel normalization the backbone
     saw during pretraining; feeding un-normalized images to a backbone trained
@@ -95,11 +91,8 @@ def _embed_all(backbone: Network, images: Array,
     if normalize is not None:
         mean, std = normalize
         images = (images - mean) / std
-    net = BlockedNetwork(backbone.layers, TRUNK_BLOCK)
-    outs = []
-    for start in range(0, images.shape[0], EMBED_BLOCK):
-        outs.append(net.forward(images[start:start + EMBED_BLOCK]))
-    return np.concatenate(outs, axis=0)
+    return np.concatenate(map_blocks([backbone], images, TRUNK_BLOCK,
+                                     lambda nets, x: nets[0].forward(x)))
 
 
 def train_head(head: Network, feats: Array, targets: Array, loss, p: ProbeSection,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import GradconSection
-from .models import MICRO_BATCH, Autoencoder, deal
+from .models import MICRO_BATCH, Autoencoder, map_blocks
 from .numerics import (
     Array,
     Network,
@@ -280,7 +280,7 @@ def score_dataset(model: Autoencoder, ref: ReferenceGradients, images: Array,
     """Score each image: value = l_recon - alpha * l_grad, with l_recon its
     reconstruction loss and l_grad the alignment of its own (batch-1) decoder
     weight gradients with the reference. Runs in blocks of MICRO_BATCH
-    images, dealt to lanes (``models.deal``): one forward and one
+    images, dealt to lanes (``models.map_blocks``): one forward and one
     decoder-only backward per block (see _decoder_alignments). Each
     score matches one batch-1 forward/backward of the image, the tests'
     oracle, to <= 1e-12 relative. Pure with respect to model parameters and
@@ -292,21 +292,18 @@ def score_dataset(model: Autoencoder, ref: ReferenceGradients, images: Array,
     if [m.size for m in ref.layer_means] != sizes:
         raise ShapeError(f"layer-set mismatch: reference sizes "
                          f"{[m.size for m in ref.layer_means]} vs decoder {sizes}")
-    images = as_f64(images)
-    blocks = [None] * -(-images.shape[0] // MICRO_BATCH)
 
-    def block(nets, b):
+    def block(nets, x):
         enc, dec = nets
-        x = images[b * MICRO_BATCH:(b + 1) * MICRO_BATCH]
         xhat = dec.forward(enc.forward(x))
         if x.shape != xhat.shape:
             raise ShapeError(f"reconstruction_loss: shapes {x.shape} != {xhat.shape}")
         # each image's loss is the mean over its own pixels, unscaled by the block
         l_recon = ((x - xhat) ** 2).reshape(len(x), -1).mean(axis=1)
-        blocks[b] = zip(l_recon, _decoder_alignments(
+        return zip(l_recon, _decoder_alignments(
             dec, weight_layers, 2.0 * (xhat - x) / x[0].size, ref))
 
-    deal([model.encoder, model.decoder], len(blocks), block)
+    blocks = map_blocks([model.encoder, model.decoder], as_f64(images), MICRO_BATCH, block)
     return [SeverityScore(value=float(r - alpha * g), l_recon=float(r), l_grad=float(g))
             for pairs in blocks for r, g in pairs]
 

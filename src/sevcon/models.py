@@ -7,12 +7,13 @@ a backbone trained jointly with a head is ``BlockedNetwork(backbone.layers +
 head.layers, TRUNK_BLOCK)``, which shares the layer objects. Only the
 autoencoder keeps a class of its own, for the encoder/decoder split that
 gradcon scores with; its passes are a ``BlockedNetwork`` of MICRO_BATCH
-images. A ``BlockedNetwork`` keeps each block's layer caches and runs the
-blocks on lanes through ``deal``. Each decoder upsampling stage is one
-``UpsampleConv2d``, a 2x nearest upsample and a 3x3 conv computed on the
-low-res grid, so the decoder is [Dense, Relu, Reshape, (UpsampleConv2d,
-Relu) per stage, Conv2d, Sigmoid] and its weight layers are 0, 3, 5, 7 (and
-9 at side 64).
+images. A ``BlockedNetwork`` trains, summing its blocks' parameter gradients;
+a corpus pass sums nothing, so ``map_blocks`` runs a function of one block on
+plain Networks. Both deal the blocks to lanes (``deal``). Each decoder
+upsampling stage is one ``UpsampleConv2d``, a 2x nearest upsample and a 3x3
+conv computed on the low-res grid, so the decoder is [Dense, Relu, Reshape,
+(UpsampleConv2d, Relu) per stage, Conv2d, Sigmoid] and its weight layers are
+0, 3, 5, 7 (and 9 at side 64).
 
 All builders are deterministic in (config, seed). Desk-scale defaults:
 32x32 grayscale inputs; the embedding and projection widths come from the
@@ -116,27 +117,38 @@ def _replica(net: Network) -> Network:
     return Network(layers)
 
 
-def deal(nets: list[Network], n_blocks: int, work: Callable[[list[Network], int], None],
-         reverse: bool = False):
-    """Run work(lane_nets, b) for every block b < n_blocks, block b on lane
-    b % LANES with that lane's networks: ``nets`` at lane 0, else replicas
-    whose layers share their parameters. Each lane runs its blocks in order
-    (last first with ``reverse``). A block gives the same arrays on any lane.
-    See _run_lanes for failures."""
+def deal(nets: list[Network], n_blocks: int, work: Callable[[list[Network], int], object],
+         reverse: bool = False) -> list:
+    """[work(lane_nets, b) for b < n_blocks], block b run on lane b % LANES
+    with that lane's networks: ``nets`` at lane 0, else replicas whose layers
+    share their parameters. Each lane runs its blocks in order (last first
+    with ``reverse``). A block gives the same arrays on any lane. See
+    _run_lanes for failures."""
     n_lanes = min(LANES, n_blocks)
     lanes = [nets] + [[_replica(net) for net in nets] for _ in range(n_lanes - 1)]
+    results = [None] * n_blocks
 
     def lane(k):
         blocks = range(k, n_blocks, n_lanes)
         for b in (reversed(blocks) if reverse else blocks):
-            work(lanes[k], b)
+            results[b] = work(lanes[k], b)
 
     _run_lanes(n_lanes, lane)
+    return results
+
+
+def map_blocks(nets: list[Network], x: Array, size: int,
+               work: Callable[[list[Network], Array], object]) -> list:
+    """[work(lane_nets, block)] for the blocks of ``size`` rows of ``x``, in
+    order, dealt to lanes (``deal``)."""
+    return deal(nets, -(-len(x) // size),
+                lambda lane_nets, b: work(lane_nets, x[b * size:(b + 1) * size]))
 
 
 class BlockedNetwork(Network):
-    """A Network whose passes run in blocks of ``size`` images dealt to lanes
-    (``deal``); each block runs the whole layer stack with its own caches.
+    """A Network trained in blocks of ``size`` images dealt to lanes
+    (``map_blocks``); each block runs the whole layer stack with its own
+    caches.
 
     ``forward`` keeps each block's layer caches, and ``backward`` puts them
     back into the layers of the lane that runs the block. ``backward`` leaves
@@ -144,7 +156,7 @@ class BlockedNetwork(Network):
     calling thread last block first, so every result is bitwise independent
     of the lane count. The rows of ``dout`` carry the whole batch's loss
     scaling, so that sum is the batch gradient. At <= ``size`` images a pass
-    is one plain Network call; an empty batch is one empty block."""
+    is one plain Network call."""
 
     def __init__(self, layers: list[Layer], size: int):
         super().__init__(layers)
@@ -152,17 +164,13 @@ class BlockedNetwork(Network):
         self.blocks: list = []  # per block: (rows, layer caches)
 
     def forward(self, x: Array) -> Array:
-        # the last pass's block caches go before this pass allocates its own
-        self.blocks = [None] * max(-(-x.shape[0] // self.size), 1)
-        out = [None] * len(self.blocks)
+        self.blocks = []  # the last pass's block caches go before this pass allocates its own
 
-        def block(nets, b):
-            part = x[b * self.size:(b + 1) * self.size]
-            out[b] = nets[0].forward(part)
-            self.blocks[b] = (len(part), [layer._cache for layer in nets[0].layers])
+        def block(nets, part):  # the forward runs before its caches are read
+            return nets[0].forward(part), (len(part), [layer._cache for layer in nets[0].layers])
 
-        deal([Network(self.layers)], len(self.blocks), block)
-        return np.concatenate(out)
+        outs, self.blocks = zip(*map_blocks([Network(self.layers)], x, self.size, block))
+        return np.concatenate(outs)
 
     def backward(self, dout: Array, input_grad: bool = True) -> Array | None:
         if not self.blocks:
@@ -171,17 +179,16 @@ class BlockedNetwork(Network):
         if dout.shape[0] != rows:
             raise ShapeError(f"blocked network: dout has {dout.shape[0]} rows, "
                              f"forward had {rows}")
-        dx, grads = [None] * len(self.blocks), [None] * len(self.blocks)
 
         def block(nets, b):
             layers = nets[0].layers
             for layer, cache in zip(layers, self.blocks[b][1]):
                 layer._cache = cache
-            dx[b] = nets[0].backward(dout[b * self.size:(b + 1) * self.size], input_grad)
-            grads[b] = [dict(layer.grads) for layer in layers]
+            dx = nets[0].backward(dout[b * self.size:(b + 1) * self.size], input_grad)
+            return dx, [dict(layer.grads) for layer in layers]
 
         # each lane runs its last block first: its caches are the likeliest cached
-        deal([Network(self.layers)], len(self.blocks), block, reverse=True)
+        dx, grads = zip(*deal([Network(self.layers)], len(self.blocks), block, reverse=True))
         # each backward assigns new grads arrays, so the sums may go in place
         total = grads[-1]
         for block_grads in reversed(grads[:-1]):

@@ -1,10 +1,14 @@
 """Baseline anomaly scorers: MSP, ODIN, Mahalanobis, their batched corpus
 scoring against per-image oracles, and the shared-seed ablation machinery."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from sevcon import models
 from sevcon.baselines import (
+    _odin_scores,
     ablation_run,
     fit_gaussian_stats,
     mahalanobis_score,
@@ -15,7 +19,8 @@ from sevcon.baselines import (
     train_supervised_classifier,
 )
 from sevcon.config import BaselinesSection, ContrastiveSection, ProbeSection
-from sevcon.evalprobe import EMBED_BLOCK
+from sevcon.evalprobe import _embed_all
+from sevcon.models import TRUNK_BLOCK
 from sevcon.numerics import NumericalError, softmax, softmax_ce_with_logits
 
 RNG = np.random.default_rng(13)
@@ -147,9 +152,10 @@ def assert_close(got, want, tol=1e-12):
 
 
 def test_batched_scorers_match_per_image_oracles(tiny_classifier):
-    """<= 1e-12 relative, over a corpus of more than one EMBED_BLOCK."""
+    """<= 1e-12 relative, over a corpus of eight TRUNK_BLOCK blocks and a
+    ragged ninth."""
     clf, images, multihot = tiny_classifier
-    corpus = np.clip(np.random.default_rng(5).random(size=(EMBED_BLOCK + 20, 1, 32, 32)),
+    corpus = np.clip(np.random.default_rng(5).random(size=(8 * TRUNK_BLOCK + 20, 1, 32, 32)),
                      0.0, 1.0)
     b = BaselinesSection()
     assert_close(score_corpus(clf, corpus, "msp", b), [per_image_msp(clf, x) for x in corpus])
@@ -166,6 +172,38 @@ def test_batched_scorers_match_per_image_oracles(tiny_classifier):
                         for f in clf.backbone.forward(corpus)])
     assert mahalanobis_score(stats, feats[0]) == pytest.approx(
         per_image_mahalanobis(stats, feats[0]), rel=1e-12)
+
+
+def test_corpus_passes_equal_a_block_loop_at_any_lane_count(tiny_classifier, monkeypatch):
+    """_embed_all and _odin_scores equal a plain loop of Network calls over
+    TRUNK_BLOCK blocks bit for bit, the last block ragged, at 1, 2 and 4
+    lanes (4 with the interpreter switching threads every microsecond)."""
+    clf, _, _ = tiny_classifier
+    corpus = np.clip(np.random.default_rng(6).random(size=(4 * TRUNK_BLOCK + 3, 1, 32, 32)),
+                     0.0, 1.0)
+    T, eps = 1000.0, 0.01
+    feats, perturbed = [], []
+    for start in range(0, len(corpus), TRUNK_BLOCK):
+        x = corpus[start:start + TRUNK_BLOCK]
+        feats.append(clf.backbone.forward(x))
+        logits = clf.combo_head.forward(feats[-1])
+        _, dlogits = softmax_ce_with_logits(logits / T, np.argmax(logits, axis=1))
+        dx = clf.backbone.backward(clf.combo_head.backward(dlogits * len(x) / T))
+        perturbed.append(clf.combo_head.forward(clf.backbone.forward(x - eps * np.sign(dx))))
+    want_feats = np.concatenate(feats)
+    want_odin = -softmax(np.concatenate(perturbed) / T).max(axis=1)
+    switch = sys.getswitchinterval()
+    for lanes in (1, 2, 4):
+        monkeypatch.setattr(models, "LANES", lanes)
+        if lanes == 4:
+            sys.setswitchinterval(1e-6)
+        try:
+            got_feats = _embed_all(clf.backbone, corpus)
+            got_odin = _odin_scores(clf, corpus, T, eps)
+        finally:
+            sys.setswitchinterval(switch)
+        assert np.array_equal(got_feats, want_feats), lanes
+        assert np.array_equal(got_odin, want_odin), lanes
 
 
 def test_ablation_run_shared_seeds_identical_for_identical_scores():

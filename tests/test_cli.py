@@ -378,6 +378,43 @@ def test_exit_codes(small_run, tmp_path, capsys):
     manifest.write_text(json.dumps(listing))
     assert main(["--run-dir", str(run), "pretrain", "--mode", "simclr"]) == EXIT_MISSING
 
+    # settings the loader accepts but a stage cannot use soundly: the stage
+    # exits before it writes anything, the classifier included
+    def files(run):
+        return {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+
+    for old, new, stages, code, said in [
+        ("n_multilabel_test = 16", "n_multilabel_test = 1", [["ablate", "--bins", "8"]],
+         EXIT_CONFIG, "[data] n_multilabel_test"),
+        # one label combination gives the classifier one class
+        ("n_labeled_train = 20", "n_labeled_train = 1",
+         [["score", "--scorer", s] for s in ("msp", "odin", "mahalanobis")],
+         EXIT_CONFIG, "[data] n_labeled_train"),
+        # the views overflow, so the projections are not finite
+        ("[contrastive]\n", "[contrastive]\nbrightness_jitter = 1e300\n",
+         [["pretrain", "--mode", "severity", "--bins", "8"], ["pretrain", "--mode", "simclr"]],
+         EXIT_NUMERIC, "non-finite projection"),
+        # every image gets the same ODIN score, which ranks nothing
+        ("odin_epsilon = 0.0", "odin_epsilon = 1e300", [["score", "--scorer", "odin"]],
+         EXIT_NUMERIC, "every odin score is"),
+        ("odin_temperature = 1.0", "odin_temperature = 1e300", [["score", "--scorer", "odin"]],
+         EXIT_NUMERIC, "every odin score is"),
+    ]:
+        refused = tmp_path / "refused"
+        shutil.rmtree(refused, ignore_errors=True)
+        shutil.copytree(small_run[0], refused)
+        (refused / "baselines" / "classifier.npz").unlink()
+        ini = tmp_path / "refused.ini"
+        ini.write_text(SMALL_INI.replace(old, new))
+        assert main(["--run-dir", str(refused), "--config", str(ini), "--force",
+                     "gen-data"]) == EXIT_OK, new
+        before = files(refused)
+        for args in stages:
+            capsys.readouterr()
+            assert main(["--run-dir", str(refused), *args]) == code, (new, args)
+            assert said in capsys.readouterr().err, (new, args)
+            assert files(refused) == before, (new, args)
+
     # the balanced sampler: simclr's instance labels have no bins to balance,
     # so it trains on the epoch batches; a binning with one member per bin is
     # a config error, before any write

@@ -262,8 +262,8 @@ def test_blocked_network_matches_block_loop_bitwise(monkeypatch):
     """A BlockedNetwork's output, input gradient and every parameter gradient
     equal the block loop's bit for bit, and at <= one block one Network
     call's: for the autoencoder's layers at MICRO_BATCH, and for a backbone
-    with a projection head (pretraining, the classifier) and alone
-    (embedding, ODIN's input gradient) at TRUNK_BLOCK; at 1, 2 and 4 lanes
+    with a projection head (pretraining, the classifier) and alone at
+    TRUNK_BLOCK; at 1, 2 and 4 lanes
     (4 with the interpreter switching threads every microsecond), for ragged
     and whole blocks."""
     rng = np.random.default_rng(5)
