@@ -61,7 +61,10 @@ class GradconSection:
     warmup_learning_rate: float = _setting(0.07, ge=0)
     momentum: float = _setting(0.9, ge=0, lt=1)
     latent_dim: int = _setting(32, ge=4)
-    heldout_count: int = _setting(64, ge=0)  # 0 turns the held-out alignment off
+    # Healthy images kept out of training (at most a quarter of them); 0 turns
+    # the held-out alignment off. Only the first gradcon.HELDOUT_SAMPLE (8) are
+    # measured: the others are neither trained on nor measured.
+    heldout_count: int = _setting(64, ge=0)
 
 
 @dataclass

@@ -5,10 +5,14 @@ The severity score of an image is its reconstruction error minus alpha times
 the alignment of its decoder gradients with the reference gradients averaged
 over healthy training. Higher score = more severe.
 
-Every training pass goes through ``Autoencoder.forward/backward``, a
-``models.BlockedNetwork`` that runs a batch in cache-sized blocks of
+Every training pass runs on the ``Autoencoder``'s
+``models.BlockedNetwork``, which runs a batch in cache-sized blocks of
 ``models.MICRO_BATCH`` images and sums the blocks' parameter gradients; a
-single-image pass (the held-out alignment) is one plain Network call.
+single-image pass is one plain Network call. A training step runs the
+batch pass, then the constraint term's two finite-difference passes, which
+reuse the batch pass's encoder forward and rerun only its decoder forward
+(``Autoencoder.redecode``), then one forward and one decoder-only backward
+per held-out image, whose alignment reads the decoder's gradients only.
 Scoring runs a corpus in blocks of ``MICRO_BATCH`` images too, but reads
 each image's decoder gradients from one decoder-only backward of the block:
 the conv layers' unsummed weight-gradient stacks, and the rank-1 identity
@@ -74,9 +78,10 @@ def reconstruction_loss_grad(x: Array, xhat: Array) -> Array:
 
 def decoder_weight_gradients(model: Autoencoder) -> list[Array]:
     """Flattened weight gradients of each parameterized decoder layer, in
-    layer order, from the last backward pass. Biases are excluded. Copies, so
-    later backward passes leave them intact."""
-    return [model.decoder.layers[i].grads["w"].ravel().copy()
+    layer order, from the last backward pass. Biases are excluded. Views, not
+    copies: every backward assigns new gradient arrays, so later passes leave
+    these intact."""
+    return [model.decoder.layers[i].grads["w"].ravel()
             for i in model.decoder_weight_layers()]
 
 
@@ -119,6 +124,18 @@ def _recon_backward(model: Autoencoder, batch: Array) -> tuple[float, dict[str, 
     return loss, model.grad_dict()
 
 
+def _heldout_alignment(model: Autoencoder, held: Array, ref: ReferenceGradients) -> float:
+    """Mean gradient_alignment of each held-out image's own decoder weight
+    gradients, from one forward and one decoder-only backward per image:
+    the decoder's gradients are those of a full pass bit for bit."""
+    aligns = []
+    for i in range(held.shape[0]):
+        x = held[i:i + 1]
+        model.backward(reconstruction_loss_grad(x, model.forward(x)), decoder_only=True)
+        aligns.append(gradient_alignment(decoder_weight_gradients(model), ref))
+    return float(np.mean(aligns))
+
+
 def _alignment_grad_wrt_gradients(current: list[Array],
                                   ref: ReferenceGradients) -> list[Array]:
     """d(mean_l cos(g_l, m_l))/d(g_l), closed form per layer."""
@@ -142,9 +159,18 @@ def _constraint_update_term(model: Autoencoder, batch: Array,
     loss and u embeds the per-layer alignment derivatives into decoder-weight
     coordinates. Approximated by the central difference
     (g(theta + delta u) - g(theta - delta u)) / (2 delta) of the parameter
-    gradients g, two full passes, with delta = 1e-5 (1 + max|decoder weight|)
-    / |u|. The decoder weights are restored bitwise on return, also when a
-    pass raises."""
+    gradients g, with delta = 1e-5 (1 + max|decoder weight|) / |u|.
+
+    u is zero on the encoder, so the encoder forward of both passes is the
+    one of the model's last pass, which must have been over ``batch`` at the
+    current weights (else ValueError). Each pass reruns only the decoder
+    forward from the kept blocks (``Autoencoder.redecode``), then runs a full
+    backward; g(theta + delta u) is bitwise that of a full forward/backward.
+    The decoder weights are restored bitwise on return, also when a pass
+    raises."""
+    last = model.last_input
+    if not (last is batch or np.array_equal(last, batch)):
+        raise ValueError("constraint update term: the model's last pass was not over batch")
     u_norm = np.sqrt(sum(float(np.dot(d, d)) for d in dalign))
     params = model.param_dict()
     if u_norm < 1e-12:
@@ -158,12 +184,13 @@ def _constraint_update_term(model: Autoencoder, batch: Array,
         for k, d in zip(dec_keys, dalign):
             params[k][...] = saved[k] + sign * delta * d.reshape(params[k].shape)
 
+    def grads_at(sign: float) -> dict[str, Array]:
+        perturb(sign)
+        model.backward(reconstruction_loss_grad(batch, model.redecode()))
+        return model.grad_dict()
+
     try:
-        perturb(+1.0)
-        _, g_plus = _recon_backward(model, batch)
-        g_plus = {k: v.copy() for k, v in g_plus.items()}
-        perturb(-1.0)
-        _, g_minus = _recon_backward(model, batch)
+        g_plus, g_minus = grads_at(+1.0), grads_at(-1.0)
     finally:
         for k in dec_keys:
             params[k][...] = saved[k]
@@ -182,7 +209,9 @@ def train_gradcon(healthy: Array, g: GradconSection, model: Autoencoder, seed: i
     iteration. When heldout images are given, each epoch's log entry carries
     the mean alignment of per-image heldout gradients with the reference,
     averaged over the epoch's iterations, over the first HELDOUT_SAMPLE
-    heldout images. Returns (model, reference, per-epoch log).
+    heldout images; the others are not read. The constraint term runs right
+    after the batch pass, whose encoder forward it reuses, and the held-out
+    passes after it. Returns (model, reference, per-epoch log).
     """
     healthy = as_f64(healthy)
     if healthy.shape[0] == 0:
@@ -209,22 +238,16 @@ def train_gradcon(healthy: Array, g: GradconSection, model: Autoencoder, seed: i
                 raise NumericalError(f"non-finite reconstruction loss at epoch {epoch}")
             dec_grads = decoder_weight_gradients(model)
 
-            update = {k: v.copy() for k, v in grads.items()}
+            update = grads
             if ref.initialized():
                 l_grad = gradient_alignment(dec_grads, ref)
                 align_vals.append(l_grad)
-                if held is not None:
-                    aligns = []
-                    for i in range(held.shape[0]):
-                        _recon_backward(model, held[i:i + 1])
-                        aligns.append(gradient_alignment(
-                            decoder_weight_gradients(model), ref))
-                    held_vals.append(float(np.mean(aligns)))
                 if g.alpha != 0.0:
                     dalign = _alignment_grad_wrt_gradients(dec_grads, ref)
                     hv = _constraint_update_term(model, batch, dec_key_order, dalign)
-                    for k in update:
-                        update[k] -= g.alpha * hv[k]
+                    update = {k: v - g.alpha * hv[k] for k, v in grads.items()}
+                if held is not None:
+                    held_vals.append(_heldout_alignment(model, held, ref))
             sgd_step(opt, params, update)
             update_reference(ref, dec_grads)
             recon_vals.append(loss)

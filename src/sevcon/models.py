@@ -156,7 +156,9 @@ class BlockedNetwork(Network):
     calling thread last block first, so every result is bitwise independent
     of the lane count. The rows of ``dout`` carry the whole batch's loss
     scaling, so that sum is the batch gradient. At <= ``size`` images a pass
-    is one plain Network call."""
+    is one plain Network call. ``backward(dout, start=k)`` runs layers[k:]
+    only, with layer k first, and leaves the gradients of the layers before
+    k as they were."""
 
     def __init__(self, layers: list[Layer], size: int):
         super().__init__(layers)
@@ -172,7 +174,7 @@ class BlockedNetwork(Network):
         outs, self.blocks = zip(*map_blocks([Network(self.layers)], x, self.size, block))
         return np.concatenate(outs)
 
-    def backward(self, dout: Array, input_grad: bool = True) -> Array | None:
+    def backward(self, dout: Array, input_grad: bool = True, start: int = 0) -> Array | None:
         if not self.blocks:
             raise RuntimeError("blocked network: backward called before forward")
         rows = sum(n for n, _ in self.blocks)
@@ -182,20 +184,21 @@ class BlockedNetwork(Network):
 
         def block(nets, b):
             layers = nets[0].layers
-            for layer, cache in zip(layers, self.blocks[b][1]):
+            for layer, cache in zip(layers, self.blocks[b][1][start:]):
                 layer._cache = cache
             dx = nets[0].backward(dout[b * self.size:(b + 1) * self.size], input_grad)
             return dx, [dict(layer.grads) for layer in layers]
 
         # each lane runs its last block first: its caches are the likeliest cached
-        dx, grads = zip(*deal([Network(self.layers)], len(self.blocks), block, reverse=True))
+        dx, grads = zip(*deal([Network(self.layers[start:])], len(self.blocks), block,
+                              reverse=True))
         # each backward assigns new grads arrays, so the sums may go in place
         total = grads[-1]
         for block_grads in reversed(grads[:-1]):
             for sums, g in zip(total, block_grads):
                 for name in sums:
                     sums[name] += g[name]
-        for sums, layer in zip(total, self.layers):
+        for sums, layer in zip(total, self.layers[start:]):
             layer.grads.update(sums)
         return np.concatenate(dx) if input_grad else None
 
@@ -204,20 +207,46 @@ class BlockedNetwork(Network):
 class Autoencoder:
     """Encoder/decoder pair whose passes run as one BlockedNetwork over both
     stacks' layers, in blocks of MICRO_BATCH images. The input is data:
-    ``backward`` does not compute its gradient."""
+    ``backward`` does not compute its gradient, and with ``decoder_only`` it
+    runs the decoder's layers only, leaving the encoder's gradients as they
+    were. ``redecode`` runs the decoder half of the last forward again."""
 
     encoder: Network
     decoder: Network
     _net: BlockedNetwork = field(init=False, repr=False, compare=False)
+    # the input of the last forward, whose blocks the model keeps
+    last_input: Array | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._net = BlockedNetwork(self.encoder.layers + self.decoder.layers, MICRO_BATCH)
 
     def forward(self, x: Array) -> Array:
+        self.last_input = x
         return self._net.forward(x)
 
-    def backward(self, dout: Array) -> None:
-        self._net.backward(dout, input_grad=False)
+    def backward(self, dout: Array, decoder_only: bool = False) -> None:
+        self._net.backward(dout, input_grad=False,
+                           start=len(self.encoder.layers) if decoder_only else 0)
+
+    def redecode(self) -> Array:
+        """The last forward's reconstruction again, after a change to decoder
+        parameters only: each block's decoder forward reruns from the block's
+        kept code z, which the decoder's first layer, a Dense, keeps as its
+        input, dealt to lanes (``deal``). Each block keeps its encoder caches
+        and gets new decoder caches, so ``backward`` then runs the whole
+        pass. The old decoder caches go before the new ones are allocated."""
+        if not self._net.blocks:
+            raise RuntimeError("autoencoder: redecode called before forward")
+        n = len(self.encoder.layers)
+        kept = [(rows, caches[:n], caches[n]) for rows, caches in self._net.blocks]
+        self._net.blocks = []  # a failed rerun leaves no blocks to run backward on
+
+        def block(nets, b):
+            return nets[0].forward(kept[b][2]), [layer._cache for layer in nets[0].layers]
+
+        outs, dec_caches = zip(*deal([self.decoder], len(kept), block))
+        self._net.blocks = [(rows, enc + dec) for (rows, enc, _), dec in zip(kept, dec_caches)]
+        return np.concatenate(outs)
 
     def param_dict(self) -> dict[str, Array]:
         d = {f"encoder.{k}": v for k, v in self.encoder.named_params()}

@@ -187,9 +187,10 @@ def one_pass_recon_backward(model, batch):
     return loss, grads
 
 
-def two_pass_fd_term(model, batch, dec_keys, dalign):
-    """Oracle: the central difference of H u from two unblocked passes at the
-    decoder weights +delta u and -delta u."""
+def two_pass_fd_term(model, batch, dec_keys, dalign, recon=one_pass_recon_backward):
+    """Oracle: the central difference of H u from two passes at the decoder
+    weights +delta u and -delta u, each a full forward/backward by `recon`:
+    unblocked by default, or the blocked model's own (_recon_backward)."""
     params = model.param_dict()
     u_norm = np.sqrt(sum(float(np.dot(d, d)) for d in dalign))
     scale = max(np.abs(params[k]).max() for k in dec_keys)
@@ -199,7 +200,7 @@ def two_pass_fd_term(model, batch, dec_keys, dalign):
     for sign in (1.0, -1.0):
         for k, d in zip(dec_keys, dalign):
             params[k][...] = saved[k] + sign * delta * d.reshape(params[k].shape)
-        grads.append(one_pass_recon_backward(model, batch)[1])
+        grads.append({k: v.copy() for k, v in recon(model, batch)[1].items()})
     for k in dec_keys:
         params[k][...] = saved[k]
     return {k: (grads[0][k] - grads[1][k]) / (2.0 * delta) for k in grads[0]}
@@ -505,3 +506,107 @@ def test_second_pass_frees_the_first_pass_caches(monkeypatch):
         assert held <= 0.25 * kept_held * 1e6, (side, lanes, held)
         assert first <= 0.5 * kept_peak * 1e6, (side, lanes, first)
         assert second <= 1.15 * first, (side, lanes, first, second)
+
+
+def test_constraint_term_reusing_the_encoder_matches_full_passes_bitwise(monkeypatch):
+    """The term, which reruns only the decoder forward from the batch pass's
+    kept blocks, equals two full passes bit for bit: for one block and for
+    four with a ragged last, at 1, 2 and 4 lanes (4 with the interpreter
+    switching threads every microsecond). The decoder weights come back
+    bitwise."""
+    switch = sys.getswitchinterval()
+    for lanes in (1, 2, 4):
+        monkeypatch.setattr(models, "LANES", lanes)
+        if lanes == 4:
+            sys.setswitchinterval(1e-6)
+        try:
+            for n in (MICRO_BATCH - 3, MICRO_BATCH * 3 + 5):
+                model, batch, dec_keys, dalign = constraint_setup(n)
+                before = params_checksum(model.param_dict())
+                hv = _constraint_update_term(model, batch, dec_keys, dalign)
+                assert params_checksum(model.param_dict()) == before
+                want = two_pass_fd_term(model, batch, dec_keys, dalign, _recon_backward)
+                assert hv.keys() == want.keys()
+                for k in hv:
+                    assert np.array_equal(hv[k], want[k]), (lanes, n, k)
+        finally:
+            sys.setswitchinterval(switch)
+
+
+def test_constraint_term_refuses_a_last_pass_over_other_images():
+    model, batch, dec_keys, dalign = constraint_setup(MICRO_BATCH + 3)
+    with pytest.raises(ValueError, match="not over batch"):
+        _constraint_update_term(tiny_model(), batch, dec_keys, dalign)  # no pass yet
+    _recon_backward(model, batch[:1])  # a held-out pass
+    with pytest.raises(ValueError, match="not over batch"):
+        _constraint_update_term(model, batch, dec_keys, dalign)
+    _recon_backward(model, batch[::-1])
+    with pytest.raises(ValueError, match="not over batch"):
+        _constraint_update_term(model, batch, dec_keys, dalign)
+    _recon_backward(model, batch.copy())  # equal images in another array
+    _constraint_update_term(model, batch, dec_keys, dalign)
+
+
+def test_decoder_only_heldout_alignment_matches_full_passes_bitwise():
+    """One forward and one decoder-only backward per image give the
+    alignment of one full pass per image bit for bit, and leave the
+    encoder's gradients as they were."""
+    model = tiny_model()
+    held = tiny_images(5)
+    ref = noisy_reference(model, tiny_images(16))
+    _recon_backward(model, tiny_images(MICRO_BATCH + 3))
+    encoder_grads = model.encoder.grad_dict()
+    got = gradcon._heldout_alignment(model, held, ref)
+    for k, g in model.encoder.grad_dict().items():
+        assert g is encoder_grads[k]
+    aligns = []
+    for i in range(len(held)):
+        _recon_backward(model, held[i:i + 1])
+        aligns.append(gradient_alignment(decoder_weight_gradients(model), ref))
+    assert got == float(np.mean(aligns))
+
+
+def test_gradient_arrays_survive_later_passes(monkeypatch):
+    """The arrays of one pass's grad_dict() and decoder_weight_gradients()
+    stay bitwise unchanged through later passes of every kind: batch,
+    one-image, the constraint term, decoder-only backward of a batch and of
+    one image, and scoring; for every parameterized layer type; at 1 and 2
+    lanes. The training step keeps these arrays without copying them."""
+    from sevcon.numerics import Conv2d, Dense, UpsampleConv2d
+
+    for lanes in (1, 2):
+        monkeypatch.setattr(models, "LANES", lanes)
+        model, batch, dec_keys, dalign = constraint_setup(MICRO_BATCH * 3 + 5)
+        layers = model.encoder.layers + model.decoder.layers
+        assert {type(layer) for layer in layers if layer.params} == {Conv2d, Dense,
+                                                                     UpsampleConv2d}
+        ref = noisy_reference(model, batch)
+        one = batch[:1]
+        kept = []
+
+        def keep():
+            arrays = list(model.grad_dict().values()) + decoder_weight_gradients(model)
+            kept.append([(a, a.copy()) for a in arrays])
+
+        def check(kind):
+            for pass_arrays in kept:
+                for a, copy in pass_arrays:
+                    assert np.array_equal(a, copy), (lanes, kind)
+
+        def decoder_only(x):
+            model.backward(reconstruction_loss_grad(x, model.forward(x)), decoder_only=True)
+
+        passes = [("batch", lambda: _recon_backward(model, batch)),
+                  ("constraint term",
+                   lambda: _constraint_update_term(model, batch, dec_keys, dalign)),
+                  ("decoder-only batch", lambda: decoder_only(batch)),
+                  ("one image", lambda: _recon_backward(model, one)),
+                  ("decoder-only one image", lambda: decoder_only(one)),
+                  ("scoring", lambda: gradcon.score_dataset(model, ref, batch, 0.03)),
+                  ("another batch", lambda: _recon_backward(model, batch[::-1]))]
+        _recon_backward(model, batch)
+        keep()
+        for kind, run in passes:
+            run()
+            check(kind)
+            keep()

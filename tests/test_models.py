@@ -307,6 +307,58 @@ def test_blocked_network_matches_block_loop_bitwise(monkeypatch):
             sys.setswitchinterval(switch)
 
 
+def test_decoder_only_backward_and_redecode_match_a_full_pass(monkeypatch):
+    """At any block count and lane count, ``backward(decoder_only=True)``
+    fills the decoder's gradients bit for bit as a full backward does and
+    leaves the encoder's gradient arrays in place; ``redecode`` after a
+    change to decoder weights gives the reconstruction and every gradient of
+    a full forward/backward bit for bit."""
+    model = build_autoencoder(32, 8, seed=4)
+    for layer in model.encoder.layers + model.decoder.layers:
+        for p in layer.params.values():
+            p += 0.05 * RNG.normal(size=p.shape)
+    w = model.decoder.layers[3].params["w"]
+    switch = sys.getswitchinterval()
+    for lanes in (1, 2, 4):
+        monkeypatch.setattr(models, "LANES", lanes)
+        if lanes == 4:
+            sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, 7, 8, 9, 29):
+                x = RNG.random(size=(n, 1, 32, 32))
+                dout = RNG.normal(size=x.shape)
+                model.forward(x)
+                model.backward(dout)
+                full = {k: g.copy() for k, g in model.decoder.grad_dict().items()}
+                encoder = model.encoder.grad_dict()
+                model.forward(x)
+                model.backward(dout, decoder_only=True)
+                assert model.decoder.grad_dict().keys() == full.keys()
+                for k, g in model.decoder.grad_dict().items():
+                    assert np.array_equal(g, full[k]), (lanes, n, k)
+                assert all(g is encoder[k] for k, g in model.encoder.grad_dict().items())
+
+                w += 1e-3
+                xhat = model.redecode()
+                model.backward(dout)
+                got = {k: g.copy() for k, g in model.grad_dict().items()}
+                assert np.array_equal(xhat, model.forward(x)), (lanes, n)
+                model.backward(dout)
+                for k, g in model.grad_dict().items():
+                    assert np.array_equal(got[k], g), (lanes, n, k)
+        finally:
+            sys.setswitchinterval(switch)
+    with pytest.raises(RuntimeError):
+        build_autoencoder(32, 8, seed=0).redecode()
+    # a rerun that fails leaves no blocks, so backward cannot read half of them
+    with monkeypatch.context() as m:
+        m.setattr(Sigmoid, "forward", lambda layer, x: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            model.redecode()
+    with pytest.raises(RuntimeError, match="before forward"):
+        model.backward(dout)
+
+
 def test_failing_block_stops_every_lane_first(monkeypatch):
     """A block that raises on lane 1 reaches the caller only after lane 0
     has ended both of its blocks; the next pass gives the same bits."""
