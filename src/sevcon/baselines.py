@@ -61,6 +61,13 @@ class GaussianClassStats:
     epsilon: float
 
 
+def label_combinations(multihot: Array) -> tuple[Array, Array]:
+    """The distinct rows of a multi-hot label matrix, which are the classes of
+    the classifier's combo head and of the Mahalanobis means, and each row's
+    class index."""
+    return np.unique(as_f64(multihot).astype(np.int64), axis=0, return_inverse=True)
+
+
 def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSection,
                                 b: BaselinesSection, seed: int) -> SupervisedClassifier:
     """Backbone + multi-label head trained jointly with per-label BCE, then a
@@ -85,10 +92,10 @@ def train_supervised_classifier(images: Array, multihot: Array, c: ContrastiveSe
             loss, dlogits = bce_with_logits(logits, y[idx])
             if not np.isfinite(loss):
                 raise NumericalError("non-finite classifier loss")
-            net.backward(dlogits, input_grad=False)
+            net.backward(dlogits)
             sgd_step(opt, params, net.grad_dict())
 
-    combos, combo_idx = np.unique(y.astype(np.int64), axis=0, return_inverse=True)
+    combos, combo_idx = label_combinations(y)
     combo_head = build_classifier_head(c.embedding_dim, combos.shape[0], seed + 3)
     p = ProbeSection(b.classifier_epochs, b.classifier_batch_size,
                      b.classifier_learning_rate, b.classifier_momentum)
@@ -193,8 +200,7 @@ def score_corpus(clf: SupervisedClassifier, images: Array, scorer: str,
         if train_images is None or train_multihot is None:
             raise ValueError("mahalanobis needs the labeled training data")
         feats = _embed_all(clf.backbone, as_f64(train_images))
-        _, combo_idx = np.unique(as_f64(train_multihot).astype(np.int64),
-                                 axis=0, return_inverse=True)
+        _, combo_idx = label_combinations(train_multihot)
         stats = fit_gaussian_stats(feats, combo_idx, b.mahalanobis_epsilon)
         return _mahalanobis_scores(stats, _embed_all(clf.backbone, as_f64(images)))
     raise ValueError(f"unknown scorer {scorer!r}")

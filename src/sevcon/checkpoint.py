@@ -1,13 +1,15 @@
-"""Checkpoint persistence: npz payload with a JSON metadata record.
+"""Checkpoint persistence: npz payload with a JSON metadata record, and the
+run directory's one table format (`write_table`, `read_table`).
 
-Round-trips are bitwise exact: parameter arrays are stored raw as float64.
-`atomic_open` is the write-then-rename step that checkpoints, CSVs, JSON
-records, the report's image, the run's config.ini and dataset manifests go
-through.
+Round-trips are bitwise exact: parameter arrays are stored raw as float64,
+table floats by ``repr``. `atomic_open` is the write-then-rename step that
+checkpoints, tables, JSON records, the report's image, the run's config.ini
+and dataset manifests go through.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
@@ -37,6 +39,30 @@ def atomic_open(path: Path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_table(path: Path, header: list[str], rows, comment: str | None = None):
+    """A CSV table through `atomic_open`: a ``# comment`` line if given, the
+    header, then the rows, each float by ``repr`` so it reads back bit for bit."""
+    with atomic_open(path, "w", newline="") as f:
+        if comment is not None:
+            f.write(f"# {comment}\n")
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def read_table(path: Path, sample_ids: list[str], columns: dict[str, type]) -> dict[str, Array]:
+    """Each of `columns` of a `write_table` table, parsed by its type, ``#``
+    lines skipped. A ``sample_id`` column that is not `sample_ids` in order,
+    or a value that does not parse (a row cut short reads ``""``), is a
+    ``ValueError``; a missing column is a ``KeyError``."""
+    with open(path, newline="") as f:
+        records = list(csv.DictReader((ln for ln in f if not ln.startswith("#")), restval=""))
+    if [r["sample_id"] for r in records] != sample_ids:
+        raise ValueError(f"the sample ids of {Path(path).name} do not match the corpus")
+    return {name: np.array([typ(r[name]) for r in records], dtype=typ)
+            for name, typ in columns.items()}
 
 
 @dataclass

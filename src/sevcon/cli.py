@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, contrastive, evalprobe, gradcon, labeling, models, synthdata
-from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import (Checkpoint, atomic_open, load_checkpoint, read_table,
+                         save_checkpoint, write_table)
 from .config import ConfigError, ExperimentConfig, load_config
 from .numerics import NumericalError, require_finite
 
@@ -100,33 +101,14 @@ def _load_model(path: Path, produced_by: str, what: str, cfg: ExperimentConfig,
 
 def _write_csv(path: Path, header: list[str], rows: list[list],
                cfg: ExperimentConfig):
-    with atomic_open(path, "w", newline="") as f:
-        f.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _read_csv(path: Path) -> list[dict]:
-    """Rows as dicts; a field missing from a row cut short reads as ``""``."""
-    with open(path, newline="") as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    return list(csv.DictReader(lines, restval=""))
+    write_table(path, header, rows, f"config_hash={cfg.config_hash()} seed={cfg.seed}")
 
 
 def _read_checked(path: Path, produced_by: str, sample_ids: list[str],
                   columns: dict[str, type]) -> dict[str, np.ndarray]:
-    """Each of `columns` of a per-sample CSV that `sevcon <produced_by>`
-    writes, parsed by its type; a file that does not list `sample_ids` in
-    order, or holds a value that does not parse, is a missing artifact."""
-    def read(p: Path) -> dict[str, np.ndarray]:
-        records = _read_csv(p)
-        if [r["sample_id"] for r in records] != sample_ids:
-            raise ValueError("the sample ids do not match the corpus")
-        return {name: np.array([typ(r[name]) for r in records])
-                for name, typ in columns.items()}
-    return _read_artifact(path, produced_by, read)
+    """`read_table` of a per-sample CSV that `sevcon <produced_by>` writes;
+    a table it refuses is a missing artifact."""
+    return _read_artifact(path, produced_by, lambda p: read_table(p, sample_ids, columns))
 
 
 def _load_dataset(run_dir: Path, name: str) -> synthdata.Dataset:
@@ -206,7 +188,7 @@ def _train_or_load_classifier(run_dir: Path, cfg: ExperimentConfig, force: bool)
     trained classifier (None for a loaded one), which the caller writes."""
     path = run_dir / "baselines" / "classifier.npz"
     train = _load_dataset(run_dir, "labeled_train")
-    if len(np.unique(train.multihot(), axis=0)) < 2:
+    if len(baselines.label_combinations(train.multihot())[0]) < 2:
         raise ConfigError(
             "the labeled_train split holds one label combination, so the classifier "
             "has one class; raise [data] n_labeled_train and rerun `sevcon gen-data`")

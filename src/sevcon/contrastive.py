@@ -184,7 +184,7 @@ def pretrain(backbone: Network, head: Network, images: Array,
             loss, dz = supcon_loss_and_grad(zed, batch.labels, c.tau)
             if not np.isfinite(loss):
                 raise NumericalError("non-finite contrastive loss")
-            net.backward(normalize_rows_backward(u, zed, dz), input_grad=False)
+            net.backward(normalize_rows_backward(u, zed, dz))
             sgd_step(opt, params, net.grad_dict())
             losses.append(loss)
         curve.append(float(np.mean(losses)))

@@ -18,6 +18,7 @@ from .numerics import (
     bce_with_logits,
     sgd_step,
 )
+from .synthdata import BIOMARKER_NAMES
 
 
 @dataclass
@@ -165,8 +166,7 @@ def evaluate(backbone: Network, binary_heads: dict[str, Network],
     if multilabel_head is not None and multilabel_test is not None:
         x, y = multilabel_test
         scores = predict_scores(backbone, multilabel_head, x, normalize)
-        names = [f"bio_{chr(ord('a') + j)}" for j in range(scores.shape[1])]
-        for j, name in enumerate(names):
+        for j, name in enumerate(BIOMARKER_NAMES):
             per_label_auc[name] = roc_auc(scores[:, j], y[:, j])
         mean_auc = float(np.mean(list(per_label_auc.values())))
     if warnings:

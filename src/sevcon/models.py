@@ -155,10 +155,11 @@ class BlockedNetwork(Network):
     in each layer's ``grads`` the sum of the blocks' gradients, added on the
     calling thread last block first, so every result is bitwise independent
     of the lane count. The rows of ``dout`` carry the whole batch's loss
-    scaling, so that sum is the batch gradient. At <= ``size`` images a pass
-    is one plain Network call. ``backward(dout, start=k)`` runs layers[k:]
-    only, with layer k first, and leaves the gradients of the layers before
-    k as they were."""
+    scaling, so that sum is the batch gradient. The input is data, so
+    ``backward`` computes no gradient of it, and the first layer it runs must
+    be a Conv2d or a Dense. At <= ``size`` images a pass is one plain Network
+    call. ``backward(dout, start=k)`` runs layers[k:] only, with layer k
+    first, and leaves the gradients of the layers before k as they were."""
 
     def __init__(self, layers: list[Layer], size: int):
         super().__init__(layers)
@@ -174,7 +175,7 @@ class BlockedNetwork(Network):
         outs, self.blocks = zip(*map_blocks([Network(self.layers)], x, self.size, block))
         return np.concatenate(outs)
 
-    def backward(self, dout: Array, input_grad: bool = True, start: int = 0) -> Array | None:
+    def backward(self, dout: Array, start: int = 0) -> None:
         if not self.blocks:
             raise RuntimeError("blocked network: backward called before forward")
         rows = sum(n for n, _ in self.blocks)
@@ -186,12 +187,11 @@ class BlockedNetwork(Network):
             layers = nets[0].layers
             for layer, cache in zip(layers, self.blocks[b][1][start:]):
                 layer._cache = cache
-            dx = nets[0].backward(dout[b * self.size:(b + 1) * self.size], input_grad)
-            return dx, [dict(layer.grads) for layer in layers]
+            nets[0].backward(dout[b * self.size:(b + 1) * self.size], input_grad=False)
+            return [dict(layer.grads) for layer in layers]
 
         # each lane runs its last block first: its caches are the likeliest cached
-        dx, grads = zip(*deal([Network(self.layers[start:])], len(self.blocks), block,
-                              reverse=True))
+        grads = deal([Network(self.layers[start:])], len(self.blocks), block, reverse=True)
         # each backward assigns new grads arrays, so the sums may go in place
         total = grads[-1]
         for block_grads in reversed(grads[:-1]):
@@ -200,7 +200,6 @@ class BlockedNetwork(Network):
                     sums[name] += g[name]
         for sums, layer in zip(total, self.layers[start:]):
             layer.grads.update(sums)
-        return np.concatenate(dx) if input_grad else None
 
 
 @dataclass
@@ -225,8 +224,7 @@ class Autoencoder:
         return self._net.forward(x)
 
     def backward(self, dout: Array, decoder_only: bool = False) -> None:
-        self._net.backward(dout, input_grad=False,
-                           start=len(self.encoder.layers) if decoder_only else 0)
+        self._net.backward(dout, start=len(self.encoder.layers) if decoder_only else 0)
 
     def redecode(self) -> Array:
         """The last forward's reconstruction again, after a change to decoder

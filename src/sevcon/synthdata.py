@@ -4,14 +4,13 @@ Images are horizontal layered stripes with noise; five lesion types stand in
 for five biomarkers: fluid blob (bio_a), bright focus (bio_b), detachment
 line (bio_c), thickening (bio_d), epiretinal band (bio_e). Ground-truth
 severity is the total lesion count; the multi-hot biomarker vector marks
-which lesion types are present.
+which lesion types are present; a split holds both as arrays.
 
 On disk a split is one directory of three files; see `save_dataset`.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_open
+from .checkpoint import atomic_open, read_table, write_table
 from .config import DataSection
 from .numerics import Array
 
@@ -32,38 +31,30 @@ FORMAT_VERSION = 2  # of data/<split>/manifest.json
 
 
 @dataclass
-class GroundTruth:
-    severity: int
-    biomarkers: Array  # (5,) multi-hot int
-
-    def __post_init__(self):
-        present = int(np.asarray(self.biomarkers).sum()) > 0
-        if (self.severity == 0) == present:
-            raise ValueError("severity must be 0 exactly when no biomarker is present")
-
-
-@dataclass
 class Dataset:
+    """A split's images and, row for row, their ground truth, which a
+    training view does not hold."""
     sample_ids: list[str]
     images: Array  # (N, 1, side, side)
-    ground_truth: list[GroundTruth] | None = None
+    biomarkers: Array | None = None  # (N, N_BIOMARKERS) int64, 0 or 1
+    severity: Array | None = None  # (N,) int64
 
     def __len__(self):
         return len(self.sample_ids)
 
     def training_view(self) -> "Dataset":
         """The dataset as exposed to training code: no ground-truth fields."""
-        return Dataset(list(self.sample_ids), self.images, None)
+        return Dataset(list(self.sample_ids), self.images)
 
     def multihot(self) -> Array:
-        if self.ground_truth is None:
+        if self.biomarkers is None:
             raise ValueError("dataset has no ground truth")
-        return np.stack([gt.biomarkers for gt in self.ground_truth]).astype(np.float64)
+        return self.biomarkers.astype(np.float64)
 
     def severities(self) -> Array:
-        if self.ground_truth is None:
+        if self.severity is None:
             raise ValueError("dataset has no ground truth")
-        return np.array([gt.severity for gt in self.ground_truth], dtype=np.int64)
+        return self.severity.copy()
 
 
 @dataclass
@@ -194,19 +185,14 @@ def render_sample(data: DataSection, seed: int, namespace: str, index: int,
     return _render(data, seed, namespace, index, [lesions])[0]
 
 
-def _lesions_to_gt(lesions: list[Lesion]) -> GroundTruth:
-    bio = np.zeros(N_BIOMARKERS, dtype=np.int64)
-    for lesion in lesions:
-        bio[lesion.kind] = 1
-    return GroundTruth(severity=len(lesions), biomarkers=bio)
-
-
 def _make_samples(data: DataSection, seed: int, namespace: str,
                   lesion_lists: list[list[Lesion]]) -> Dataset:
     ids = [f"{namespace}_{i:05d}" for i in range(len(lesion_lists))]
-    images = _render(data, seed, namespace, 0, lesion_lists)
-    gts = [_lesions_to_gt(lesions) for lesions in lesion_lists]
-    return Dataset(ids, images, gts)
+    biomarkers = np.zeros((len(lesion_lists), N_BIOMARKERS), dtype=np.int64)
+    for row, lesions in zip(biomarkers, lesion_lists):
+        row[[lesion.kind for lesion in lesions]] = 1
+    severity = np.array([len(lesions) for lesions in lesion_lists], dtype=np.int64)
+    return Dataset(ids, _render(data, seed, namespace, 0, lesion_lists), biomarkers, severity)
 
 
 def _random_lesions(data: DataSection, seed: int, namespace: str, index: int,
@@ -274,10 +260,11 @@ def generate_labeled_splits(data: DataSection, seed: int) -> dict[str, Dataset]:
 
 def save_dataset(directory: Path, dataset: Dataset, meta: dict):
     """Write ``images.npy`` ((N, 1, side, side) ``<f8`` in sample-id order),
-    ``labels.csv`` when there is ground truth, then ``manifest.json`` (format
-    version, sample ids, ``meta``). The old manifest and any per-image ``.bin``
-    files of the format-1 layout go first, and the new manifest is renamed into
-    place last, so an interrupted write leaves no manifest."""
+    ``labels.csv`` (a `checkpoint.write_table` of each image's biomarkers and
+    severity), then ``manifest.json`` (format version, sample ids, ``meta``).
+    The old manifest and any per-image ``.bin`` files of the format-1 layout
+    go first, and the new manifest is renamed into place last, so an
+    interrupted write leaves no manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
@@ -285,12 +272,9 @@ def save_dataset(directory: Path, dataset: Dataset, meta: dict):
     for stale in directory.glob("*.bin"):  # per-image files of the format-1 layout
         stale.unlink()
     np.save(directory / "images.npy", np.asarray(dataset.images, dtype="<f8"))
-    if dataset.ground_truth is not None:
-        with open(directory / "labels.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["sample_id", *BIOMARKER_NAMES, "severity"])
-            for sid, gt in zip(dataset.sample_ids, dataset.ground_truth):
-                writer.writerow([sid, *(int(b) for b in gt.biomarkers), gt.severity])
+    write_table(directory / "labels.csv", ["sample_id", *BIOMARKER_NAMES, "severity"],
+                [[sid, *bio, sev] for sid, bio, sev in zip(
+                    dataset.sample_ids, dataset.biomarkers.tolist(), dataset.severity.tolist())])
     manifest = {"format_version": FORMAT_VERSION, "sample_ids": dataset.sample_ids, **meta}
     with atomic_open(manifest_path) as f:
         f.write(json.dumps(manifest, indent=2, sort_keys=True))
@@ -298,9 +282,11 @@ def save_dataset(directory: Path, dataset: Dataset, meta: dict):
 
 def load_dataset(directory: Path) -> Dataset:
     """Read a split that `save_dataset` wrote. Another format version, not
-    one float64 (1, side, side) image per sample id, or a non-finite pixel is
-    a ``ValueError``; a missing or corrupt file raises its reader's
-    OSError/EOFError/ValueError."""
+    one float64 (1, side, side) image per sample id, a non-finite pixel, a
+    ``labels.csv`` that `checkpoint.read_table` refuses, a biomarker other
+    than 0 or 1, or a severity below the biomarkers present or, with none
+    present, above 0 is a ``ValueError``; a missing or corrupt file raises
+    its reader's OSError/EOFError/ValueError."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if manifest.get("format_version") != FORMAT_VERSION:
@@ -313,13 +299,14 @@ def load_dataset(directory: Path) -> Dataset:
                          f"expected float64 ({len(ids)}, 1, side, side)")
     if not np.isfinite(images).all():
         raise ValueError(f"{directory}: images.npy holds non-finite pixels")
-    gts = None
-    labels_path = directory / "labels.csv"
-    if labels_path.exists():
-        rows = {}
-        with open(labels_path, newline="") as f:
-            for row in csv.DictReader(f):
-                bio = np.array([int(row[b]) for b in BIOMARKER_NAMES], dtype=np.int64)
-                rows[row["sample_id"]] = GroundTruth(int(row["severity"]), bio)
-        gts = [rows[sid] for sid in ids]
-    return Dataset(ids, images, gts)
+    labels = read_table(directory / "labels.csv", ids,
+                        {**dict.fromkeys(BIOMARKER_NAMES, int), "severity": int})
+    biomarkers = np.column_stack([labels[name] for name in BIOMARKER_NAMES])
+    severity, present = labels["severity"], biomarkers.sum(axis=1)
+    bad = ((biomarkers != 0) & (biomarkers != 1)).any(axis=1)
+    bad |= (severity < present) | ((present == 0) & (severity != 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{directory}: labels.csv gives {ids[i]} the impossible ground truth "
+                         f"biomarkers {biomarkers[i].tolist()}, severity {severity[i]}")
+    return Dataset(ids, images, biomarkers, severity)

@@ -1,11 +1,18 @@
-"""Checkpoint persistence must round-trip bitwise."""
+"""Checkpoint and table persistence must round-trip bitwise."""
 
 import json
 
 import numpy as np
 import pytest
 
-from sevcon.checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
+from sevcon.checkpoint import (
+    Checkpoint,
+    atomic_open,
+    load_checkpoint,
+    read_table,
+    save_checkpoint,
+    write_table,
+)
 from sevcon.cli import _write_csv
 from sevcon.config import ExperimentConfig
 
@@ -109,3 +116,24 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
                    ExperimentConfig())
     assert {p: p.read_bytes() for p in (ckpt, table)} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.npz", "t.csv"]
+
+
+def test_table_round_trip_and_refusals(tmp_path):
+    """A table reads back bit for bit, each column as its type, with its
+    comment line skipped. One that does not list the sample ids in order, or
+    whose last row is cut short, is a ValueError."""
+    path = tmp_path / "t.csv"
+    ids, values = ["a", "b", "c"], [0.1 + 0.2, 1e-300, -2.5]
+    write_table(path, ["sample_id", "score", "bin"],
+                [[sid, v, i] for i, (sid, v) in enumerate(zip(ids, values))], "seed=1")
+    assert path.read_bytes().startswith(b"# seed=1\nsample_id,score,bin\r\na,")
+    cols = read_table(path, ids, {"score": float, "bin": int})
+    assert cols["score"].tolist() == values and cols["bin"].dtype == np.int64
+    for wrong in (["a", "c", "b"], ["a", "b"], ["a", "b", "c", "c"], []):
+        with pytest.raises(ValueError, match="sample ids"):
+            read_table(path, wrong, {"score": float})
+    path.write_bytes(path.read_bytes()[:-4])  # the last row loses its bin
+    with pytest.raises(ValueError):
+        read_table(path, ids, {"bin": int})
+    write_table(path, ["sample_id", "score"], [])
+    assert read_table(path, [], {"score": float})["score"].dtype == np.float64

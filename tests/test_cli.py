@@ -268,6 +268,50 @@ def test_exit_codes(small_run, tmp_path, capsys):
     assert "bio_c" in err and "[data] n_multilabel_test" in err
     assert result.read_bytes() == intact
     labels.write_text(kept)
+
+    def files(run):
+        return {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+
+    # a labels.csv that does not give each image of its split possible ground
+    # truth, in sample-id order, is a damaged split: exit 3, naming the file
+    # and gen-data, before any write. Each case: the split, the damage to its
+    # rows (sample_id, bio_a, ..., bio_e, severity) given the index of the
+    # first row with a biomarker, and the stage that reads it.
+    for split, damage, args in [
+        # a second row for the first id, with the second row's ground truth
+        ("test_multilabel", lambda rows, i: [rows[0], [rows[0][0], *rows[1][1:]], *rows[1:]],
+         ["evaluate", "--tag", "simclr"]),
+        # two rows swapped
+        ("test_bio_a", lambda rows, i: [rows[1], rows[0], *rows[2:]],
+         ["evaluate", "--tag", "simclr"]),
+        # a biomarker value of 2
+        ("labeled_train", lambda rows, i: [[rows[0][0], "2", *rows[0][2:]], *rows[1:]],
+         ["score", "--scorer", "msp"]),
+        # severity -1 with a biomarker present
+        ("labeled_train", lambda rows, i: rows[:i] + [rows[i][:-1] + ["-1"]] + rows[i + 1:],
+         ["probe", "--task", "bio_a", "--tag", "simclr"]),
+        # severity 0 with a biomarker present
+        ("unlabeled", lambda rows, i: rows[:i] + [rows[i][:-1] + ["0"]] + rows[i + 1:],
+         ["report"]),
+        # no labels.csv
+        ("labeled_train", None, ["score", "--scorer", "msp"]),
+    ]:
+        labels = run / "data" / split / "labels.csv"
+        kept = labels.read_bytes()
+        header, *rows = [line.split(",") for line in kept.decode().splitlines()]
+        if damage is None:
+            labels.unlink()
+        else:
+            i = next(i for i, row in enumerate(rows) if "1" in row[1:-1])
+            labels.write_text("".join(",".join(row) + "\r\n"
+                                      for row in [header, *damage(rows, i)]))
+        before = files(run)
+        capsys.readouterr()
+        assert main(["--run-dir", str(run), *args]) == EXIT_MISSING, (split, args)
+        err = capsys.readouterr().err
+        assert "labels.csv" in err and "sevcon gen-data" in err, (split, args)
+        assert files(run) == before, (split, args)
+        labels.write_bytes(kept)
     # a rejected value exits 2 before the stage writes, also with --force
     odin = tmp_path / "odin.ini"
     odin.write_text(SMALL_INI.replace("odin_temperature = 1.0", "odin_temperature = 0"))
@@ -380,9 +424,6 @@ def test_exit_codes(small_run, tmp_path, capsys):
 
     # settings the loader accepts but a stage cannot use soundly: the stage
     # exits before it writes anything, the classifier included
-    def files(run):
-        return {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
-
     for old, new, stages, code, said in [
         ("n_multilabel_test = 16", "n_multilabel_test = 1", [["ablate", "--bins", "8"]],
          EXIT_CONFIG, "[data] n_multilabel_test"),

@@ -11,7 +11,6 @@ from sevcon.config import DataSection
 from sevcon.synthdata import (
     BIOMARKER_NAMES,
     Dataset,
-    GroundTruth,
     Lesion,
     generate_healthy,
     generate_labeled_splits,
@@ -128,13 +127,27 @@ def test_images_in_unit_range_and_shape():
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
 
-def test_ground_truth_invariant():
-    with pytest.raises(ValueError):
-        GroundTruth(severity=0, biomarkers=np.array([1, 0, 0, 0, 0]))
-    with pytest.raises(ValueError):
-        GroundTruth(severity=2, biomarkers=np.zeros(5, dtype=np.int64))
-    GroundTruth(severity=0, biomarkers=np.zeros(5, dtype=np.int64))
-    GroundTruth(severity=3, biomarkers=np.array([1, 1, 0, 0, 0]))
+def test_ground_truth_invariant(tmp_path):
+    """The loader refuses ground truth that no image can have: a biomarker
+    other than 0 or 1, a severity below the count of biomarkers present, or a
+    severity other than 0 with none present. It accepts every other row."""
+    ds = generate_unlabeled(DataSection(n_unlabeled=2, severity_max=3), SEED)
+    for bio, severity, ok in [([0, 0, 0, 0, 0], 0, True), ([1, 1, 0, 0, 0], 3, True),
+                              ([1, 1, 0, 0, 0], 2, True), ([0, 0, 0, 0, 1], 1, True),
+                              ([1, 0, 0, 0, 0], 0, False), ([0, 0, 0, 0, 0], 2, False),
+                              ([1, 1, 1, 0, 0], 2, False), ([0, 0, 0, 0, 0], -1, False),
+                              ([1, 0, 0, 0, 0], -1, False), ([2, 0, 0, 0, 0], 2, False),
+                              ([0, -1, 0, 0, 0], 0, False), ([1, 0, 0, 0, 0], 99, True)]:
+        biomarkers = np.array([ds.biomarkers[0], bio], dtype=np.int64)
+        severity = np.array([ds.severity[0], severity], dtype=np.int64)
+        save_dataset(tmp_path, Dataset(ds.sample_ids, ds.images, biomarkers, severity), {})
+        if ok:
+            back = load_dataset(tmp_path)
+            assert np.array_equal(back.biomarkers, biomarkers)
+            assert np.array_equal(back.severity, severity)
+        else:
+            with pytest.raises(ValueError, match=f"{ds.sample_ids[1]} the impossible"):
+                load_dataset(tmp_path)
 
 
 def test_healthy_has_zero_severity():
@@ -200,7 +213,7 @@ def test_split_ids_are_disjoint():
 def test_training_view_hides_ground_truth():
     ds = generate_unlabeled(DataSection(n_unlabeled=3, severity_max=2), SEED)
     view = ds.training_view()
-    assert view.ground_truth is None
+    assert view.biomarkers is None and view.severity is None
     with pytest.raises(ValueError):
         view.multihot()
 
@@ -213,8 +226,9 @@ def test_dataset_round_trip(tmp_path):
     back = load_dataset(tmp_path / "d")
     assert back.sample_ids == ds.sample_ids
     assert np.array_equal(back.images, ds.images)
-    assert np.array_equal(back.multihot(), ds.multihot())
-    assert np.array_equal(back.severities(), ds.severities())
+    for got, want in ((back.biomarkers, ds.biomarkers), (back.severity, ds.severity)):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    assert back.biomarkers.shape == (4, len(BIOMARKER_NAMES))
     # ground truth lives in labels.csv, separate from the manifest; no .bin is left
     assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
         "images.npy", "labels.csv", "manifest.json"]
